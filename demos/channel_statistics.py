@@ -30,7 +30,7 @@ print()
 turb = channel.TurbulenceParams(alpha=15.0, beta=10.0)
 
 # --- Misalignment geometry ------------------------------------------------
-geo = channel.derive_pointing(
+geo = channel.PointingGeometry(
     sigma_theta=1e-3,    # transmitter jitter std, rad
     sigma_beta=0.5e-3,   # reflecting-surface jitter std, rad
     distance_l1=150.0,   # source -> surface, m

@@ -13,7 +13,7 @@ import math
 from risfso import analytic, channel, montecarlo
 
 turb = channel.TurbulenceParams(alpha=15.0, beta=10.0)
-geo = channel.derive_pointing(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
 N = 128
 ms = analytic.moments(turb, geo, N)
 

@@ -14,11 +14,7 @@ from .errors import (
 from .numerics import (
     MellinBarnesContour,
     Quadrature,
-    bessel_k,
-    erf,
-    erfc,
     integrate_semi_infinite,
-    ln_gamma,
     meijer_g_1330,
     parabolic_cylinder_d,
 )
@@ -27,7 +23,6 @@ from .channel import (
     PointingGeometry,
     RandomStream,
     TurbulenceParams,
-    derive_pointing,
     derive_turbulence,
     pdf_b,
     pdf_gamma_clt,

@@ -170,10 +170,9 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
     if gamma_th == 0.0:
         return 0.0
     m, d = ms.m, ms.delta
-    val = 0.5 * (
-        math.erf((gamma_th - m * gamma_bar) / (math.sqrt(2.0) * gamma_bar * d))
-        - math.erf(-m / (math.sqrt(2.0) * d))
-    )
+    # A difference of normal CDFs keeps relative accuracy when both
+    # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
+    val = float(sp.ndtr((gamma_th - m * gamma_bar) / (gamma_bar * d)) - sp.ndtr(-m / d))
     return _clamp(val, 0.0, 1.0)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "LinkConfig",
     "RandomStream",
     "derive_turbulence",
-    "derive_pointing",
     "sample_h_a",
     "sample_h_p",
     "sample_aggregate",
@@ -194,20 +193,6 @@ class PointingGeometry:
         return cls(sigma_theta, 0.0, 0.0, distance_l2, beam_width, aperture_radius)
 
 
-def derive_pointing(
-    sigma_theta: float,
-    sigma_beta: float,
-    distance_l1: float,
-    distance_l2: float,
-    beam_width: float,
-    aperture_radius: float,
-) -> PointingGeometry:
-    """Build a PointingGeometry, populating nu, A0, wzeq2 and c."""
-    return PointingGeometry(
-        sigma_theta, sigma_beta, distance_l1, distance_l2, beam_width, aperture_radius
-    )
-
-
 @dataclass(frozen=True)
 class LinkConfig:
     """Link-level settings: element count, average SNR, threshold, modulation."""
@@ -276,22 +261,14 @@ def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size=None):
 
 
 def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size=None):
-    """Pointing-error gain samples in (0, A0].
+    """Pointing-error gain samples in (0, A0], by inverse CDF.
 
-    Draws the transmitter and surface jitter components, superimposes
-    them, and maps the resulting radial offset r = theta' * L2 through
-    the Gaussian beam profile.
+    The superimposed jitter is isotropic Gaussian, so r^2 / (2 sigma_r^2)
+    is standard exponential and h_p = A0 exp(-E / c) has the CDF
+    (h / A0)^c of the beam-profile model.
     """
-    g = _as_generator(rng)
-    ratio = 1.0 + geo.distance_l1 / geo.distance_l2
-    tx = g.normal(0.0, geo.sigma_theta, size)
-    ty = g.normal(0.0, geo.sigma_theta, size)
-    bx = g.normal(0.0, geo.sigma_beta, size)
-    by = g.normal(0.0, geo.sigma_beta, size)
-    tpx = ratio * tx + 2.0 * bx
-    tpy = ratio * ty + 2.0 * by
-    r2 = (tpx * tpx + tpy * tpy) * geo.distance_l2 ** 2
-    return geo.a0 * np.exp(-2.0 * r2 / geo.wzeq2)
+    e = _as_generator(rng).standard_exponential(size)
+    return geo.a0 * np.exp(-e / geo.c)
 
 
 def sample_aggregate(

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analytic, montecarlo
@@ -302,23 +302,17 @@ def validate_config(path: str) -> SweepSpec:
     beta = float(get("turbulence.beta")[0])
     turb = TurbulenceParams(alpha=alpha, beta=beta)
 
-    wz = float(get("pointing.beam_width_cm")[0]) / 100.0
-    ap = float(get("pointing.aperture_radius_cm")[0]) / 100.0
-    l2 = float(get("pointing.l2_m")[0])
     c_override = entries.get("pointing.exponent_c")
-    if c_override is not None:
-        pointing = PointingGeometry.from_exponent(float(c_override[0]), wz, ap, l2)
-    else:
-        pointing = PointingGeometry(
-            sigma_theta=float(get("pointing.sigma_theta_mrad")[0]) * 1e-3,
-            sigma_beta=float(get("pointing.sigma_beta_mrad")[0]) * 1e-3,
-            distance_l1=float(get("pointing.l1_m")[0]),
-            distance_l2=l2,
-            beam_width=wz,
-            aperture_radius=ap,
+    try:
+        pointing = _pointing_from(
+            lambda key: get(key)[0], None if c_override is None else float(c_override[0])
         )
+    except DomainError as exc:
+        line = max((ln for key, (_, ln) in entries.items() if key.startswith("pointing.")),
+                   default=0)
+        raise ConfigError([f"line {line}: pointing: {exc}"]) from None
 
-    workers = int(get("mc.workers")[0]) or int(os.environ.get(WORKERS_ENV, "1"))
+    workers = int(get("mc.workers")[0]) or _env_workers()
     variant = ChannelVariant("", turb, pointing, tuple(n_list))
     return SweepSpec(
         gamma_bar_db=tuple(gamma_grid),
@@ -335,23 +329,40 @@ def validate_config(path: str) -> SweepSpec:
     )
 
 
-def _default_pointing(**overrides) -> PointingGeometry:
-    kw = dict(
-        sigma_theta=1e-3,
-        sigma_beta=0.5e-3,
-        distance_l1=150.0,
-        distance_l2=150.0,
-        beam_width=1.2,
-        aperture_radius=0.1,
+def _env_workers() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError([f"{WORKERS_ENV}: expected an integer, got {raw!r}"]) from None
+
+
+def _pointing_from(value, exponent_c: Optional[float] = None) -> PointingGeometry:
+    """Pointing geometry from config values, converted from their key units."""
+    wz = float(value("pointing.beam_width_cm")) / 100.0
+    ap = float(value("pointing.aperture_radius_cm")) / 100.0
+    l2 = float(value("pointing.l2_m"))
+    if exponent_c is not None:
+        return PointingGeometry.from_exponent(exponent_c, wz, ap, l2)
+    return PointingGeometry(
+        sigma_theta=float(value("pointing.sigma_theta_mrad")) * 1e-3,
+        sigma_beta=float(value("pointing.sigma_beta_mrad")) * 1e-3,
+        distance_l1=float(value("pointing.l1_m")),
+        distance_l2=l2,
+        beam_width=wz,
+        aperture_radius=ap,
     )
-    kw.update(overrides)
-    return PointingGeometry(**kw)
+
+
+def _default_pointing(**overrides) -> PointingGeometry:
+    return replace(_pointing_from(DEFAULTS.get), **overrides)
 
 
 def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
                   workers: int = 1) -> SweepSpec:
     """Parameter sets behind the published capacity/outage/BER sweeps."""
-    turb_default = TurbulenceParams(alpha=15.0, beta=10.0)
+    turb_default = TurbulenceParams(alpha=DEFAULTS["turbulence.alpha"],
+                                    beta=DEFAULTS["turbulence.beta"])
     common = dict(mc_samples=mc_samples, seed=seed, workers=workers)
     grid = tuple(float(v) for v in range(0, 42, 2))
 
@@ -359,10 +370,7 @@ def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
         # Capacity vs average SNR for a range of element counts, plus the
         # no-reflector direct link baseline (single 100 m path, transmitter
         # jitter only).
-        direct = PointingGeometry(
-            sigma_theta=1e-3, sigma_beta=0.0, distance_l1=0.0,
-            distance_l2=100.0, beam_width=1.2, aperture_radius=0.1,
-        )
+        direct = _default_pointing(sigma_beta=0.0, distance_l1=0.0, distance_l2=100.0)
         return SweepSpec(
             gamma_bar_db=grid,
             metrics=("capacity",),
@@ -388,7 +396,7 @@ def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
         # Asymptotic outage: alpha = 6.5, beta = 6.0, heavy jitter with
         # pointing exponent c = 0.5, small element counts.
         turb = TurbulenceParams(alpha=6.5, beta=6.0)
-        pointing = PointingGeometry.from_exponent(0.5, 1.2, 0.1, 150.0)
+        pointing = _pointing_from(DEFAULTS.get, exponent_c=0.5)
         return SweepSpec(
             gamma_bar_db=tuple(float(v) for v in range(0, 85, 5)),
             metrics=("outage",),
@@ -481,7 +489,9 @@ def run_sweep(spec: SweepSpec) -> Table:
                     if spec.include_oracle:
                         kind = _ORACLE_KIND.get(metric)
                         if kind is not None:
-                            row.oracle = _oracle_value(metric, kind, ms, gb, spec)
+                            row.oracle, _ = analytic.oracle_metric(
+                                kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi, n=1
+                            )
                     est = mc_by_metric.get(metric, {}).get(gb)
                     if est is not None:
                         row.mc_mean = est.mean
@@ -507,17 +517,6 @@ def _analytic_value(metric: str, ms, gamma_bar: float, spec: SweepSpec) -> float
     if metric == "moments":
         return analytic.generalized_moment(1, ms, gamma_bar)
     raise DomainError(f"unknown metric {metric!r}")
-
-
-def _oracle_value(metric: str, kind: str, ms, gamma_bar: float, spec: SweepSpec) -> float:
-    if metric == "af":
-        m2, _ = analytic.oracle_metric("moment", ms, gamma_bar, n=2)
-        m1, _ = analytic.oracle_metric("moment", ms, gamma_bar, n=1)
-        return m2 / m1 ** 2 - 1.0
-    value, _ = analytic.oracle_metric(
-        kind, ms, gamma_bar, gamma_th=spec.gamma_th, psi=spec.psi, n=1
-    )
-    return value
 
 
 def _format_cell(value) -> str:
@@ -579,29 +578,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_val.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
-    env_workers = int(os.environ.get(WORKERS_ENV, "1"))
-
-    if args.command == "validate":
-        try:
-            spec = validate_config(args.config)
-        except ConfigError as exc:
-            for item in exc.items:
-                print(f"error: {item}", file=sys.stderr)
-            return 2
-        print(json.dumps(spec.resolved(), indent=2, sort_keys=True))
-        return 0
 
     try:
-        if args.command == "sweep":
+        if args.command == "validate":
+            spec = validate_config(args.config)
+        elif args.command == "sweep":
             spec = validate_config(args.config)
             if args.seed is not None:
                 spec.seed = args.seed
             if args.workers is not None:
                 spec.workers = args.workers
-            elif spec.workers == 1 and env_workers > 1:
-                spec.workers = env_workers
+            elif spec.workers == 1:
+                spec.workers = max(1, _env_workers())
         else:
-            workers = args.workers if args.workers is not None else env_workers
+            workers = args.workers if args.workers is not None else _env_workers()
             spec = figure_preset(args.preset, mc_samples=args.mc_samples,
                                  seed=args.seed, workers=workers)
     except ConfigError as exc:
@@ -609,6 +599,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {item}", file=sys.stderr)
         return 2
 
+    if args.command == "validate":
+        print(json.dumps(spec.resolved(), indent=2, sort_keys=True))
+        return 0
     table = run_sweep(spec)
     payload = emit(table, args.format, args.out)
     if not args.out:

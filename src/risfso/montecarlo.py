@@ -18,7 +18,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import special as sp
 
-from .channel import LinkConfig, PointingGeometry, TurbulenceParams
+from . import channel
+from .channel import LinkConfig, PointingGeometry, RandomStream, TurbulenceParams
 from .errors import DomainError, MergeError
 
 __all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
@@ -118,26 +119,6 @@ def confidence_interval(e: McEstimate, level: float) -> Tuple[float, float]:
     return (e.mean - half, e.mean + half)
 
 
-def _block_generator(seed: int, block_id: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(block_id,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _sample_z_block(
-    t: TurbulenceParams, g: PointingGeometry, n_elements: int,
-    seed: int, block_id: int, count: int,
-) -> np.ndarray:
-    gen = _block_generator(seed, block_id)
-    shape = (count, n_elements)
-    ha = gen.gamma(t.alpha, 1.0 / t.alpha, shape) * gen.gamma(t.beta, 1.0 / t.beta, shape)
-    ratio = 1.0 + g.distance_l1 / g.distance_l2
-    tpx = ratio * gen.normal(0.0, g.sigma_theta, shape) + 2.0 * gen.normal(0.0, g.sigma_beta, shape)
-    tpy = ratio * gen.normal(0.0, g.sigma_theta, shape) + 2.0 * gen.normal(0.0, g.sigma_beta, shape)
-    r2 = (tpx * tpx + tpy * tpy) * g.distance_l2 ** 2
-    h = ha * (g.a0 * np.exp(-2.0 * r2 / g.wzeq2))
-    return np.sum(h * h, axis=-1)
-
-
 def _metric_values(metric_kind: str, gamma: np.ndarray, cfg: LinkConfig,
                    moment_order: int) -> np.ndarray:
     if metric_kind == "outage":
@@ -174,25 +155,10 @@ def estimate(
     first_stream: int = 0,
 ) -> McEstimate:
     """Monte Carlo estimate of one metric at the configured link settings."""
-    if metric_kind not in METRIC_KINDS:
-        raise DomainError(f"unknown metric {metric_kind!r}; choose from {METRIC_KINDS}")
-    if n_samples < MIN_SAMPLES:
-        raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
-    fp = _fingerprint(t, g, cfg, metric_kind, moment_order)
-
-    def do_block(item: Tuple[int, int]) -> Tuple[int, BlockStats]:
-        block_id, count = item
-        z = _sample_z_block(t, g, cfg.n_elements, seed, block_id, count)
-        vals = _metric_values(metric_kind, cfg.gamma_bar * z, cfg, moment_order)
-        return block_id, (count, float(np.sum(vals)), float(np.sum(vals * vals)))
-
-    plan = _block_plan(n_samples, first_stream)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = dict(pool.map(do_block, plan))
-    else:
-        stats = dict(map(do_block, plan))
-    return McEstimate(metric_kind, fp, seed, stats)
+    return estimate_grid(
+        metric_kind, t, g, cfg, [cfg.gamma_bar], n_samples, seed, workers,
+        moment_order=moment_order, first_stream=first_stream,
+    )[cfg.gamma_bar]
 
 
 def estimate_grid(
@@ -225,7 +191,7 @@ def estimate_grid(
 
     def do_block(item: Tuple[int, int]):
         block_id, count = item
-        z = _sample_z_block(t, g, base_cfg.n_elements, seed, block_id, count)
+        z, _ = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
         out = {}
         for gb, cfg in cfgs.items():
             vals = _metric_values(metric_kind, gb * z, cfg, moment_order)

@@ -22,10 +22,6 @@ from .errors import AccuracyError, DomainError, UnsupportedDomainError
 __all__ = [
     "Quadrature",
     "MellinBarnesContour",
-    "ln_gamma",
-    "erf",
-    "erfc",
-    "bessel_k",
     "parabolic_cylinder_d",
     "meijer_g_1330",
     "integrate_semi_infinite",
@@ -73,31 +69,6 @@ class MellinBarnesContour:
             raise DomainError("half_height must be positive")
         if self.rel_tol <= 0:
             raise DomainError("rel_tol must be positive")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def erf(x: float) -> float:
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    return math.erfc(x)
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, K_nu(x) for x > 0.
-
-    Symmetric in the sign of nu.
-    """
-    if not x > 0:
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
-    return float(sp.kv(abs(nu), x))
 
 
 def _pcd_integral_log(v: float, z: float) -> float:

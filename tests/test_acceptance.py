@@ -17,7 +17,7 @@ from risfso import analytic, channel, cli, montecarlo
 # Baseline channel ("defaults"): alpha=15, beta=10, sigma_theta=1 mrad,
 # sigma_beta=0.5 mrad, L1=L2=150 m, beam width 1.2 m, aperture 0.1 m.
 TURB = channel.TurbulenceParams(alpha=15.0, beta=10.0)
-GEO = channel.derive_pointing(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+GEO = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
 GRID_DB = tuple(float(v) for v in range(0, 42, 2))
 
 

@@ -8,6 +8,7 @@ and monotonicity laws that hold exactly.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +30,7 @@ def turb():
 
 @pytest.fixture(scope="module")
 def geo():
-    return channel.derive_pointing(1e-3, 0.25e-3, 350.0, 250.0, 1.2, 0.1)
+    return channel.PointingGeometry(1e-3, 0.25e-3, 350.0, 250.0, 1.2, 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,19 @@ class TestOutage:
     def test_rejects_negative_threshold(self, ms):
         with pytest.raises(DomainError):
             analytic.outage_probability(-1.0, ms, 1.0)
+
+    def test_deep_lower_tail_does_not_cancel(self):
+        # Both CDF terms lie near 1e-25 here; a difference of erf values
+        # close to -1 cancels to exactly 0.
+        turb = channel.TurbulenceParams(alpha=6.5, beta=6.0)
+        geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+        ms = analytic.moments(turb, geo, 256)
+        gbar = channel.LinkConfig.db_to_linear(30.0)
+        mu, sd = ms.m * gbar, ms.delta * gbar
+        with mpmath.workdps(40):
+            ref = float(mpmath.ncdf((1.0 - mu) / sd) - mpmath.ncdf(-mu / sd))
+        assert ref > 0.0
+        assert analytic.outage_probability(1.0, ms, gbar) == pytest.approx(ref, rel=1e-6, abs=0.0)
 
 
 class TestAsymptotics:

@@ -36,7 +36,7 @@ GEO_ARGS = dict(
 
 def default_geometry(**overrides):
     args = {**GEO_ARGS, **overrides}
-    return channel.derive_pointing(**args)
+    return channel.PointingGeometry(**args)
 
 
 class TestDeriveTurbulence:
@@ -194,6 +194,31 @@ class TestSamplers:
         # CDF of h_p is (h / A0)^c on (0, A0].
         stat, _ = stats.kstest(h, lambda x: np.clip(x / geo.a0, 0, 1) ** geo.c)
         assert stat < 2.0 / math.sqrt(self.N_SAMPLES)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(sigma_beta=0.5e-3, distance_l1=150.0, distance_l2=150.0),
+            dict(sigma_theta=0.0),
+            dict(sigma_beta=0.0, distance_l1=0.0),
+        ],
+        ids=["l1_350_l2_250", "l1_150_l2_150", "surface_jitter_only", "single_hop"],
+    )
+    def test_pointing_gain_matches_physical_jitter(self, overrides):
+        # Reference: superimpose the transmitter and surface jitter angles
+        # per axis and map the radial offset through the beam profile.
+        geo = default_geometry(**overrides)
+        g = channel.RandomStream(29, 0).generator()
+        ratio = 1.0 + geo.distance_l1 / geo.distance_l2
+        shape = (2, self.N_SAMPLES)
+        theta = ratio * g.normal(0.0, geo.sigma_theta, shape) + 2.0 * g.normal(
+            0.0, geo.sigma_beta, shape
+        )
+        r2 = np.sum(theta * theta, axis=0) * geo.distance_l2 ** 2
+        reference = geo.a0 * np.exp(-2.0 * r2 / geo.wzeq2)
+        h = channel.sample_h_p(geo, channel.RandomStream(29, 1), self.N_SAMPLES)
+        assert stats.ks_2samp(reference, h).pvalue > 0.01
 
     def test_pointing_gain_degenerate_jitter(self):
         geo = default_geometry(sigma_theta=0.0)

@@ -189,6 +189,27 @@ class TestMainEntry:
         assert err.startswith("error: ")
         assert "beam_width_cm" in err
 
+    @pytest.mark.parametrize("command", ["validate", "sweep", "figure"])
+    def test_bad_workers_env_is_a_diagnostic(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        args = ["figure", "fig4"] if command == "figure" else [
+            command, "--config", write_config(tmp_path, FAST_CONFIG)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and cli.WORKERS_ENV in err and "'abc'" in err
+
+    def test_zero_jitter_config_is_a_diagnostic(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "link.n_elements = 4\npointing.sigma_theta_mrad = 0\npointing.sigma_beta_mrad = 0\n",
+        )
+        assert cli.main(["sweep", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: line 3: pointing: ")
+        assert "jitter" in err
+
     def test_sweep_stdout_csv(self, tmp_path, capsys):
         path = write_config(tmp_path, FAST_CONFIG)
         assert cli.main(["sweep", "--config", path]) == 0

@@ -25,7 +25,7 @@ def turb():
 
 @pytest.fixture(scope="module")
 def geo():
-    return channel.derive_pointing(1e-3, 0.25e-3, 350.0, 250.0, 1.2, 0.1)
+    return channel.PointingGeometry(1e-3, 0.25e-3, 350.0, 250.0, 1.2, 0.1)
 
 
 @pytest.fixture(scope="module")

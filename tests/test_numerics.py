@@ -2,90 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from risfso import numerics
 from risfso.errors import AccuracyError, DomainError, UnsupportedDomainError
-
-
-class TestLnGamma:
-    def test_gamma_of_one(self):
-        assert numerics.ln_gamma(1.0) == 0.0
-
-    def test_gamma_of_half(self):
-        assert numerics.ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
-
-    def test_integer_factorial(self):
-        # Gamma(15) = 14!
-        assert numerics.ln_gamma(15.0) == pytest.approx(math.log(math.factorial(14)), rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_nonpositive_rejected(self, x):
-        with pytest.raises(DomainError):
-            numerics.ln_gamma(x)
-
-
-def _erf_series(x, terms=60):
-    # Maclaurin series, independent of the library path
-    total = 0.0
-    for n in range(terms):
-        total += (-1) ** n * x ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-class TestErf:
-    def test_zero(self):
-        assert numerics.erf(0.0) == 0.0
-
-    def test_odd_symmetry(self):
-        for x in np.linspace(0.1, 4.0, 17):
-            assert numerics.erf(-x) == -numerics.erf(x)
-
-    def test_against_series_oracle(self):
-        assert numerics.erf(1.0) == pytest.approx(_erf_series(1.0), abs=1e-12)
-        assert numerics.erf(1.0) == pytest.approx(0.842700792949715, abs=1e-12)
-
-    def test_erf_plus_erfc_is_one(self):
-        for x in np.linspace(-6.0, 6.0, 41):
-            assert abs(numerics.erf(x) + numerics.erfc(x) - 1.0) <= 1e-14
-
-
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        expected = math.sqrt(math.pi / 2.0) * math.exp(-1.0)
-        assert numerics.bessel_k(0.5, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_order_symmetry(self):
-        for nu, x in [(0.7, 2.0), (3.2, 0.5), (5.0, 11.0)]:
-            assert numerics.bessel_k(-nu, x) == numerics.bessel_k(nu, x)
-
-    def test_recurrence_identity(self):
-        # K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x)
-        rng = np.random.default_rng(1234)
-        for _ in range(40):
-            nu = rng.uniform(0.5, 15.0)
-            x = rng.uniform(0.1, 30.0)
-            lhs = numerics.bessel_k(nu + 1.0, x)
-            rhs = numerics.bessel_k(nu - 1.0, x) + (2.0 * nu / x) * numerics.bessel_k(nu, x)
-            assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_quadrature_oracle(self):
-        # K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
-        nu, x = 5.0, 2.0
-        oracle, _ = integrate.quad(
-            lambda t: math.exp(-x * math.cosh(t)) * math.cosh(nu * t), 0.0, 20.0,
-            epsabs=1e-14, epsrel=1e-12, limit=200,
-        )
-        assert numerics.bessel_k(nu, x) == pytest.approx(oracle, rel=1e-9)
-        assert numerics.bessel_k(nu, x) == pytest.approx(9.431049100596467, rel=1e-9)
-
-    def test_decreasing_in_x(self):
-        values = [numerics.bessel_k(2.0, x) for x in (0.5, 1.0, 2.0, 5.0, 10.0)]
-        assert all(a > b > 0 for a, b in zip(values, values[1:]))
-
-    def test_nonpositive_x_rejected(self):
-        with pytest.raises(DomainError):
-            numerics.bessel_k(1.0, 0.0)
 
 
 class TestParabolicCylinderD:
