@@ -13,8 +13,6 @@ from .errors import (
 )
 from .numerics import (
     MellinBarnesContour,
-    Quadrature,
-    integrate_semi_infinite,
     meijer_g_1330,
     parabolic_cylinder_d,
 )
@@ -32,7 +30,6 @@ from .channel import (
 )
 from .analytic import (
     AsymptoticProfile,
-    CapacityFit,
     MomentSummary,
     amount_of_fading,
     asymptotic_outage,

@@ -30,7 +30,6 @@ from . import numerics
 __all__ = [
     "MomentSummary",
     "AsymptoticProfile",
-    "CapacityFit",
     "moments",
     "mgf",
     "generalized_moment",
@@ -54,6 +53,13 @@ CHIANI_WEIGHTS = (1.0 / 12.0, 1.0 / 4.0)
 CHIANI_RATES = (1.0, 4.0 / 3.0)
 
 _POLE_SEPARATION = 1e-6
+
+# Quadrature budget of the oracles. The outage oracle integrates to the
+# relative tolerance alone: its value can lie hundreds of decades below
+# any fixed absolute tolerance.
+_ORACLE_ABS_TOL = 1e-14
+_ORACLE_REL_TOL = 1e-10
+_ORACLE_LIMIT = 400
 
 _clamp_events: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
     "clamp_events", default=None
@@ -81,12 +87,6 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     if events is not None:
         events.append(value)
     return min(max(value, lo), hi)
-
-
-@dataclass(frozen=True)
-class CapacityFit:
-    eta: Tuple[float, float, float, float] = CAPACITY_ETA
-    zeta: Tuple[float, float, float, float] = CAPACITY_ZETA
 
 
 @dataclass(frozen=True)
@@ -266,9 +266,7 @@ def average_ber(psi: float, ms: MomentSummary, gamma_bar: float) -> float:
     return _clamp(val, 0.0, 0.5)
 
 
-def channel_capacity(
-    ms: MomentSummary, gamma_bar: float, fit: CapacityFit = CapacityFit()
-) -> float:
+def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
     """Ergodic capacity (bits/channel use) from the exponential log fit."""
     if ms.m * gamma_bar > CAPACITY_FIT_LIMIT:
         warnings.warn(
@@ -277,7 +275,7 @@ def channel_capacity(
             UserWarning,
             stacklevel=2,
         )
-    val = sum(e * mgf(z, ms, gamma_bar) for e, z in zip(fit.eta, fit.zeta))
+    val = sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
     return max(val, 0.0)
 
 
@@ -293,7 +291,6 @@ def oracle_metric(
     psi: float = 1.0,
     n: int = 1,
     s: float = 0.0,
-    quadrature: Optional[numerics.Quadrature] = None,
 ) -> Tuple[float, float]:
     """Independent quadrature of a metric's defining integral.
 
@@ -303,7 +300,6 @@ def oracle_metric(
     """
     if kind not in _ORACLE_KINDS:
         raise DomainError(f"unknown oracle kind {kind!r}; choose from {_ORACLE_KINDS}")
-    q = quadrature or numerics.Quadrature(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=400)
     mu = gamma_bar * ms.m
     sd = gamma_bar * ms.delta
 
@@ -317,8 +313,8 @@ def oracle_metric(
             return 0.0, 0.0
         pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < gamma_th]
         val, err = integrate.quad(
-            density, 0.0, gamma_th, points=pts or None, epsabs=q.abs_tol,
-            epsrel=q.rel_tol, limit=q.max_subdivisions,
+            density, 0.0, gamma_th, points=pts or None, epsabs=0.0,
+            epsrel=_ORACLE_REL_TOL, limit=_ORACLE_LIMIT,
         )
         return float(val), float(err)
 
@@ -340,11 +336,11 @@ def oracle_metric(
     cut = max(mu + 12.0 * sd, 16.0 * sd)
     pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < cut]
     val1, err1 = integrate.quad(
-        integrand, 0.0, cut, points=pts or None, epsabs=q.abs_tol,
-        epsrel=q.rel_tol, limit=q.max_subdivisions,
+        integrand, 0.0, cut, points=pts or None, epsabs=_ORACLE_ABS_TOL,
+        epsrel=_ORACLE_REL_TOL, limit=_ORACLE_LIMIT,
     )
     val2, err2 = integrate.quad(
-        integrand, cut, np.inf, epsabs=q.abs_tol, epsrel=q.rel_tol,
-        limit=q.max_subdivisions,
+        integrand, cut, np.inf, epsabs=_ORACLE_ABS_TOL, epsrel=_ORACLE_REL_TOL,
+        limit=_ORACLE_LIMIT,
     )
     return float(val1 + val2), float(err1 + err2)

@@ -53,50 +53,127 @@ METRICS = ("outage", "ber", "capacity", "af", "moments")
 PRESET_IDS = ("fig2", "fig3", "fig4", "fig5")
 WORKERS_ENV = "RISFSO_WORKERS"
 
-# Baseline parameter set used whenever a value is not supplied:
-# sigma_theta = 1 mrad, sigma_beta = 0.5 mrad, beam width 120 cm,
-# aperture radius 10 cm, alpha = 15, beta = 10, L1 = L2 = 150 m.
-DEFAULTS = {
-    "turbulence.alpha": 15.0,
-    "turbulence.beta": 10.0,
-    "pointing.sigma_theta_mrad": 1.0,
-    "pointing.sigma_beta_mrad": 0.5,
-    "pointing.beam_width_cm": 120.0,
-    "pointing.aperture_radius_cm": 10.0,
-    "pointing.l1_m": 150.0,
-    "pointing.l2_m": 150.0,
-    "link.gamma_bar_db": "0:40:2",
-    "link.n_elements": "128",
-    "link.gamma_th_db": 0.0,
-    "link.psi": 1.0,
-    "sweep.metrics": "outage,ber,capacity",
-    "sweep.include_asymptotic": False,
-    "sweep.include_oracle": False,
-    "sweep.include_mc": True,
-    "mc.samples": 100000,
-    "mc.seed": 2024,
-    "mc.workers": 0,  # 0 -> env var or 1
+# Longest SNR grid a config may request. A start:stop:step grid is built
+# point by point, so without a cap a tiny step or a huge stop would hang;
+# the largest benchmark sweep uses 41 points.
+GRID_MAX_POINTS = 10_000
+
+
+def _real(low: float = -math.inf, strict: bool = False):
+    """Parser of a finite real bounded below by ``low`` (strictly or not)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        if value < low or (strict and value == low):
+            raise ValueError(f"unit violation, must be {'>' if strict else '>='} {low:g} "
+                             f"(got {value})")
+        return value
+
+    return parse
+
+
+def _integer(low: int):
+    """Parser of an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise ValueError(f"must be >= {low} (got {value})")
+        return value
+
+    return parse
+
+
+_FLAGS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _flag(text: str) -> bool:
+    try:
+        return _FLAGS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_FLAGS)}, got {text!r}") from None
+
+
+def _increasing(values: tuple, what: str) -> tuple:
+    if not values:
+        raise ValueError(f"{what} is empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return values
+
+
+def _grid(text: str) -> Tuple[float, ...]:
+    """SNR grid in dB: ``start:stop:step`` or a comma list."""
+    number = _real()
+    if ":" not in text:
+        return _increasing(tuple(number(p) for p in text.split(",") if p.strip()), "grid")
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = (number(p) for p in parts)
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {text!r}")
+    span = (stop - start + 1e-9) / step
+    if span >= GRID_MAX_POINTS:
+        raise ValueError(f"grid has more than {GRID_MAX_POINTS} points")
+    count = math.floor(span) + 1 if span >= 0 else 0
+    # Each point from its index, so rounding error does not accumulate.
+    return _increasing(tuple(round(start + i * step, 12) for i in range(count)), "grid")
+
+
+def _counts(text: str) -> Tuple[int, ...]:
+    count = _integer(1)
+    return _increasing(tuple(count(p) for p in text.split(",")), "list")
+
+
+def _metrics(text: str) -> Tuple[str, ...]:
+    metrics = tuple(p.strip() for p in text.split(",") if p.strip())
+    for m in metrics:
+        if m not in METRICS:
+            raise ValueError(f"unknown metric {m!r}; choose from {', '.join(METRICS)}")
+    if not metrics:
+        raise ValueError("metric list is empty")
+    return metrics
+
+
+# Every config key: its default as config text (None: unset) and the
+# parser that type- and range-checks a value. Units are in the key names.
+# The defaults are the baseline parameter set: sigma_theta = 1 mrad,
+# sigma_beta = 0.5 mrad, beam width 120 cm, aperture radius 10 cm,
+# alpha = 15, beta = 10, L1 = L2 = 150 m.
+_KEYS = {
+    "turbulence.alpha": ("15", _real(0, strict=True)),
+    "turbulence.beta": ("10", _real(0, strict=True)),
+    "pointing.sigma_theta_mrad": ("1", _real(0)),
+    "pointing.sigma_beta_mrad": ("0.5", _real(0)),
+    "pointing.beam_width_cm": ("120", _real(0, strict=True)),
+    "pointing.aperture_radius_cm": ("10", _real(0, strict=True)),
+    "pointing.l1_m": ("150", _real(0)),
+    "pointing.l2_m": ("150", _real(0, strict=True)),
+    "pointing.exponent_c": (None, _real(0, strict=True)),
+    "link.gamma_bar_db": ("0:40:2", _grid),
+    "link.n_elements": ("128", _counts),
+    "link.gamma_th_db": ("0", _real()),
+    "link.psi": ("1", _real(0, strict=True)),
+    "sweep.metrics": ("outage,ber,capacity", _metrics),
+    "sweep.include_asymptotic": ("false", _flag),
+    "sweep.include_oracle": ("false", _flag),
+    "sweep.include_mc": ("true", _flag),
+    "mc.samples": ("100000", _integer(1)),
+    "mc.seed": ("2024", _integer(0)),
+    "mc.workers": ("0", _integer(0)),  # 0 -> RISFSO_WORKERS or 1
 }
 
-_OPTIONAL_KEYS = {
-    "turbulence.cn2",
-    "turbulence.wavelength_nm",
-    "pointing.exponent_c",
-}
-
-_POSITIVE_UNIT_KEYS = {
-    "pointing.sigma_theta_mrad": False,  # may be zero
-    "pointing.sigma_beta_mrad": False,
-    "pointing.beam_width_cm": True,
-    "pointing.aperture_radius_cm": True,
-    "pointing.l2_m": True,
-    "turbulence.alpha": True,
-    "turbulence.beta": True,
-    "turbulence.cn2": True,
-    "turbulence.wavelength_nm": True,
-    "link.psi": True,
-    "pointing.exponent_c": True,
-}
+DEFAULTS = {key: None if text is None else parse(text) for key, (text, parse) in _KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -180,174 +257,77 @@ class Table:
     config: dict
 
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    low = text.strip().lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    return text.strip()
+def validate_config(path: str) -> SweepSpec:
+    """Parse and validate a sweep config, applying baseline defaults.
 
-
-def _parse_grid(text, lineno: int, errors: List[str], key: str) -> List[float]:
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return [float(text)]
-    text = str(text)
-    try:
-        if ":" in text:
-            start, stop, step = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise ValueError
-            out, v = [], start
-            while v <= stop + 1e-9:
-                out.append(round(v, 12))
-                v += step
-        else:
-            out = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        errors.append(f"line {lineno}: {key}: cannot parse grid {text!r}")
-        return []
-    if not out:
-        errors.append(f"line {lineno}: {key}: grid is empty")
-    elif any(b <= a for a, b in zip(out, out[1:])):
-        errors.append(f"line {lineno}: {key}: grid must be strictly increasing")
-    return out
-
-
-def _read_config(path: str) -> Dict[str, Tuple[object, int]]:
-    entries: Dict[str, Tuple[object, int]] = {}
-    errors: List[str] = []
+    Every bad line is reported, as ``line N: key: message``, in one
+    ConfigError.
+    """
+    values, lines, errors = dict(DEFAULTS), {}, []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, text = (part.strip() for part in line.partition("="))
+            if not eq:
                 errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS and key not in _OPTIONAL_KEYS:
-                errors.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            entries[key] = (_parse_scalar(value), lineno)
-    if errors:
-        raise ConfigError(errors)
-    return entries
+            elif key not in _KEYS:
+                errors.append(f"line {lineno}: {key}: unknown key")
+            else:
+                try:
+                    values[key] = _KEYS[key][1](text)
+                    lines[key] = lineno
+                except ValueError as exc:
+                    errors.append(f"line {lineno}: {key}: {exc}")
 
-
-def validate_config(path: str) -> SweepSpec:
-    """Parse and validate a sweep config, applying baseline defaults."""
-    entries = _read_config(path)
-    errors: List[str] = []
-
-    def get(key):
-        if key in entries:
-            return entries[key]
-        return (DEFAULTS.get(key), 0)
-
-    for key, strictly in _POSITIVE_UNIT_KEYS.items():
-        if key not in entries and key not in DEFAULTS:
-            continue
-        val, lineno = get(key)
-        if val is None:
-            continue
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            errors.append(f"line {lineno}: {key}: expected a number, got {val!r}")
-        elif (strictly and not val > 0) or val < 0:
-            errors.append(f"line {lineno}: {key}: unit violation, must be "
-                          f"{'positive' if strictly else 'non-negative'} (got {val})")
-
-    for key in ("pointing.l1_m",):
-        val, lineno = get(key)
-        if not isinstance(val, (int, float)) or val < 0:
-            errors.append(f"line {lineno}: {key}: must be a non-negative number")
-
-    gamma_grid = _parse_grid(*get("link.gamma_bar_db"), errors=errors, key="link.gamma_bar_db")
-    n_raw, n_line = get("link.n_elements")
-    n_list: List[int] = []
-    for part in str(n_raw).split(","):
-        try:
-            n = int(part)
-            if n < 1:
-                raise ValueError
-            n_list.append(n)
-        except ValueError:
-            errors.append(f"line {n_line}: link.n_elements: bad element count {part!r}")
-    if n_list and any(b <= a for a, b in zip(n_list, n_list[1:])):
-        errors.append(f"line {n_line}: link.n_elements: list must be strictly increasing")
-
-    metrics_raw, m_line = get("sweep.metrics")
-    metrics = tuple(p.strip() for p in str(metrics_raw).split(",") if p.strip())
-    for m in metrics:
-        if m not in METRICS:
-            errors.append(f"line {m_line}: sweep.metrics: unknown metric {m!r}")
-
-    include_mc = bool(get("sweep.include_mc")[0])
-    mc_samples, mc_line = get("mc.samples")
-    if not isinstance(mc_samples, int) or isinstance(mc_samples, bool):
-        errors.append(f"line {mc_line}: mc.samples: expected an integer")
-    elif include_mc and mc_samples < 1000:
-        errors.append(f"line {mc_line}: mc.samples: must be >= 1000 when MC is enabled")
-
+    if values["sweep.include_mc"] and values["mc.samples"] < 1000:
+        errors.append(f"line {lines['mc.samples']}: mc.samples: "
+                      "must be >= 1000 when MC is enabled")
     if errors:
         raise ConfigError(errors)
 
-    alpha = float(get("turbulence.alpha")[0])
-    beta = float(get("turbulence.beta")[0])
-    turb = TurbulenceParams(alpha=alpha, beta=beta)
-
-    c_override = entries.get("pointing.exponent_c")
     try:
-        pointing = _pointing_from(
-            lambda key: get(key)[0], None if c_override is None else float(c_override[0])
-        )
+        pointing = _pointing_from(values, values["pointing.exponent_c"])
     except DomainError as exc:
-        line = max((ln for key, (_, ln) in entries.items() if key.startswith("pointing.")),
-                   default=0)
+        line = max((ln for key, ln in lines.items() if key.startswith("pointing.")), default=0)
         raise ConfigError([f"line {line}: pointing: {exc}"]) from None
 
-    workers = int(get("mc.workers")[0]) or _env_workers()
-    variant = ChannelVariant("", turb, pointing, tuple(n_list))
+    turb = TurbulenceParams(alpha=values["turbulence.alpha"], beta=values["turbulence.beta"])
     return SweepSpec(
-        gamma_bar_db=tuple(gamma_grid),
-        metrics=metrics,
-        variants=(variant,),
-        gamma_th=LinkConfig.db_to_linear(float(get("link.gamma_th_db")[0])),
-        psi=float(get("link.psi")[0]),
-        mc_samples=int(mc_samples),
-        seed=int(get("mc.seed")[0]),
-        workers=workers,
-        include_asymptotic=bool(get("sweep.include_asymptotic")[0]),
-        include_oracle=bool(get("sweep.include_oracle")[0]),
-        include_mc=include_mc,
+        gamma_bar_db=values["link.gamma_bar_db"],
+        metrics=values["sweep.metrics"],
+        variants=(ChannelVariant("", turb, pointing, values["link.n_elements"]),),
+        gamma_th=LinkConfig.db_to_linear(values["link.gamma_th_db"]),
+        psi=values["link.psi"],
+        mc_samples=values["mc.samples"],
+        seed=values["mc.seed"],
+        workers=values["mc.workers"] or _env_workers(),
+        include_asymptotic=values["sweep.include_asymptotic"],
+        include_oracle=values["sweep.include_oracle"],
+        include_mc=values["sweep.include_mc"],
     )
 
 
 def _env_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError([f"{WORKERS_ENV}: expected an integer, got {raw!r}"]) from None
+        return _integer(1)(raw)
+    except ValueError as exc:
+        raise ConfigError([f"{WORKERS_ENV}: {exc}"]) from None
 
 
-def _pointing_from(value, exponent_c: Optional[float] = None) -> PointingGeometry:
+def _pointing_from(values: dict, exponent_c: Optional[float] = None) -> PointingGeometry:
     """Pointing geometry from config values, converted from their key units."""
-    wz = float(value("pointing.beam_width_cm")) / 100.0
-    ap = float(value("pointing.aperture_radius_cm")) / 100.0
-    l2 = float(value("pointing.l2_m"))
+    wz = values["pointing.beam_width_cm"] / 100.0
+    ap = values["pointing.aperture_radius_cm"] / 100.0
+    l2 = values["pointing.l2_m"]
     if exponent_c is not None:
         return PointingGeometry.from_exponent(exponent_c, wz, ap, l2)
     return PointingGeometry(
-        sigma_theta=float(value("pointing.sigma_theta_mrad")) * 1e-3,
-        sigma_beta=float(value("pointing.sigma_beta_mrad")) * 1e-3,
-        distance_l1=float(value("pointing.l1_m")),
+        sigma_theta=values["pointing.sigma_theta_mrad"] * 1e-3,
+        sigma_beta=values["pointing.sigma_beta_mrad"] * 1e-3,
+        distance_l1=values["pointing.l1_m"],
         distance_l2=l2,
         beam_width=wz,
         aperture_radius=ap,
@@ -355,7 +335,7 @@ def _pointing_from(value, exponent_c: Optional[float] = None) -> PointingGeometr
 
 
 def _default_pointing(**overrides) -> PointingGeometry:
-    return replace(_pointing_from(DEFAULTS.get), **overrides)
+    return replace(_pointing_from(DEFAULTS), **overrides)
 
 
 def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
@@ -396,7 +376,7 @@ def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
         # Asymptotic outage: alpha = 6.5, beta = 6.0, heavy jitter with
         # pointing exponent c = 0.5, small element counts.
         turb = TurbulenceParams(alpha=6.5, beta=6.0)
-        pointing = _pointing_from(DEFAULTS.get, exponent_c=0.5)
+        pointing = _pointing_from(DEFAULTS, exponent_c=0.5)
         return SweepSpec(
             gamma_bar_db=tuple(float(v) for v in range(0, 85, 5)),
             metrics=("outage",),
@@ -588,8 +568,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 spec.seed = args.seed
             if args.workers is not None:
                 spec.workers = args.workers
-            elif spec.workers == 1:
-                spec.workers = max(1, _env_workers())
         else:
             workers = args.workers if args.workers is not None else _env_workers()
             spec = figure_preset(args.preset, mc_samples=args.mc_samples,

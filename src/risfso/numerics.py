@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,32 +20,15 @@ from scipy import special as sp
 from .errors import AccuracyError, DomainError, UnsupportedDomainError
 
 __all__ = [
-    "Quadrature",
     "MellinBarnesContour",
     "parabolic_cylinder_d",
     "meijer_g_1330",
-    "integrate_semi_infinite",
 ]
 
 # Implemented domain of parabolic_cylinder_d; wide enough for every
 # moment order the analytics need (v = -n-1, n <= 11).
 PCD_V_RANGE = (-12.0, 0.0)
 PCD_Z_RANGE = (-40.0, 40.0)
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Tolerance budget for adaptive semi-infinite integration."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -235,41 +218,3 @@ def meijer_g_1330(
         err_estimate=achieved,
     )
 
-
-def integrate_semi_infinite(
-    f: Callable[[float], float], q: Quadrature | None = None
-) -> Tuple[float, float]:
-    """Adaptive integral of f over [0, inf).
-
-    Returns (value, err_estimate). Raises AccuracyError carrying the
-    partial result when the subdivision budget is exhausted or the error
-    estimate exceeds the requested tolerance.
-    """
-    q = q or Quadrature()
-    # Geometric segmentation keeps narrow features away from the single
-    # infinite-interval transform, which can step right over them.
-    edges = [0.0] + [10.0 ** k for k in range(-6, 7)] + [np.inf]
-    value = 0.0
-    err = 0.0
-    warning = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out = integrate.quad(
-            f,
-            lo,
-            hi,
-            epsabs=q.abs_tol / 16.0,
-            epsrel=q.rel_tol,
-            limit=q.max_subdivisions,
-            full_output=1,
-        )
-        value += out[0]
-        err += out[1]
-        if len(out) > 3 and warning is None:
-            warning = out[3]
-    if err > max(q.abs_tol, q.rel_tol * abs(value)):
-        raise AccuracyError(
-            warning or f"error estimate {err:.2e} exceeds tolerance",
-            partial=value,
-            err_estimate=err,
-        )
-    return float(value), float(err)

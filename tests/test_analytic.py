@@ -195,6 +195,21 @@ class TestOutage:
         assert ref > 0.0
         assert analytic.outage_probability(1.0, ms, gbar) == pytest.approx(ref, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("db", [4.0, 6.0])
+    def test_oracle_resolves_far_tail(self, turb, db):
+        # Default channel at N = 4096: outage near 4.5e-71 and 4.2e-247 lies
+        # far below any absolute quadrature tolerance.
+        geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+        ms = analytic.moments(turb, geo, 4096)
+        gbar = channel.LinkConfig.db_to_linear(db)
+        mu, sd = ms.m * gbar, ms.delta * gbar
+        with mpmath.workdps(40):
+            ref = float(mpmath.ncdf((1.0 - mu) / sd) - mpmath.ncdf(-mu / sd))
+        assert 0.0 < ref < 1e-70
+        oracle, _ = analytic.oracle_metric("outage", ms, gbar, gamma_th=1.0)
+        assert oracle == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert analytic.outage_probability(1.0, ms, gbar) == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
 
 class TestAsymptotics:
     def test_profile_reference_case(self):

@@ -199,6 +199,37 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and cli.WORKERS_ENV in err and "'abc'" in err
 
+    @pytest.mark.parametrize("line", [
+        "mc.seed = abc",
+        "mc.workers = abc",
+        "link.gamma_th_db = abc",
+        "mc.seed = -1",
+        "pointing.l2_m = inf",
+        "link.gamma_bar_db = nan",
+        "link.gamma_bar_db = 0:1e400:1",
+        "link.gamma_bar_db = 0:40:0.0000001",
+        "sweep.include_mc = maybe",
+        "mc.seed = 1.5",
+        "turbulence.cn2 = 1e-14",
+        "link.gamma_th_db = nan",
+        "turbulence.alpha = inf",
+        "link.gamma_bar_db = 0,inf",
+        "mc.workers = -3",
+    ])
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_bad_value_is_one_diagnostic(self, tmp_path, capsys, command, line):
+        path = write_config(tmp_path, f"link.n_elements = 4\n{line}\n")
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: line 2: {line.split(' = ')[0]}: ")
+
+    def test_explicit_single_worker_beats_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "4")
+        path = write_config(tmp_path, FAST_CONFIG + "mc.workers = 1\n")
+        assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["workers"] == 1
+
     def test_zero_jitter_config_is_a_diagnostic(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
