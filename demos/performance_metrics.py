@@ -27,17 +27,15 @@ cfg_th = 1.0  # 0 dB SNR threshold
 for db in (10.0, 20.0, 30.0):
     gbar = channel.LinkConfig.db_to_linear(db)
     cfg = channel.LinkConfig(n_elements=N, gamma_bar=gbar, gamma_th=cfg_th)
-    for metric, closed, oracle_kind in (
-        ("outage", analytic.outage_probability(cfg_th, ms, gbar), "outage"),
-        ("ber", analytic.average_ber(1.0, ms, gbar), "ber_chiani"),
-        ("capacity", analytic.channel_capacity(ms, gbar), "capacity"),
+    for metric, closed, oracle_kind, mc_kind in (
+        ("outage", analytic.outage_probability(cfg_th, ms, gbar), "outage", "outage"),
+        ("ber", analytic.average_ber(1.0, ms, gbar), "ber_chiani", "ber_exactQ"),
+        ("capacity", analytic.channel_capacity(ms, gbar), "capacity", "capacity"),
     ):
         oracle, _ = analytic.oracle_metric(
             oracle_kind, ms, gbar, gamma_th=cfg_th, psi=1.0
         )
-        mc = montecarlo.estimate(
-            metric if metric != "ber" else "ber", turb, geo, cfg, 100_000, seed=7
-        )
+        mc = montecarlo.estimate(mc_kind, turb, geo, cfg, 100_000, seed=7)
         print(f"{db:>8.0f}dB {metric:>9} {closed:>13.4e} {oracle:>13.4e} "
               f"{mc.mean:>13.4e}")
 print()

@@ -11,11 +11,7 @@ from .errors import (
     RisFsoError,
     UnsupportedDomainError,
 )
-from .numerics import (
-    MellinBarnesContour,
-    meijer_g_1330,
-    parabolic_cylinder_d,
-)
+from .numerics import meijer_g_1330, parabolic_cylinder_d
 from .channel import (
     LinkConfig,
     PointingGeometry,

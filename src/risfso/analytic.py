@@ -39,6 +39,8 @@ __all__ = [
     "asymptotic_outage",
     "average_ber",
     "channel_capacity",
+    "METRIC_KINDS",
+    "metric_value",
     "oracle_metric",
     "track_clamps",
 ]
@@ -114,15 +116,25 @@ def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> Moment
     if n_elements < 1:
         raise DomainError("n_elements must be >= 1")
     a, b, c, a0 = t.alpha, t.beta, g.c, g.a0
-    m1 = c * a0 ** 2 / (c + 2.0) * _gamma_ratio(a, 2) * _gamma_ratio(b, 2)
-    second = c * a0 ** 4 / (c + 4.0) * _gamma_ratio(a, 4) * _gamma_ratio(b, 4)
-    delta1_sq = second - m1 * m1
+    try:
+        m1 = c * a0 ** 2 / (c + 2.0) * _gamma_ratio(a, 2) * _gamma_ratio(b, 2)
+        second = c * a0 ** 4 / (c + 4.0) * _gamma_ratio(a, 4) * _gamma_ratio(b, 4)
+        delta1_sq = second - m1 * m1
+        m, delta_sq = n_elements * m1, n_elements * delta1_sq
+    except OverflowError:
+        m = delta_sq = math.nan
+    # The CLT model needs a positive mean and variance.
+    if not (0.0 < m < math.inf and 0.0 < delta_sq < math.inf):
+        raise DomainError(
+            f"aggregate moments m = {m:g}, delta^2 = {delta_sq:g} at N = {n_elements} "
+            "are not positive finite numbers"
+        )
     return MomentSummary(
         m1=m1,
         delta1_sq=delta1_sq,
         n_elements=n_elements,
-        m=n_elements * m1,
-        delta_sq=n_elements * delta1_sq,
+        m=m,
+        delta_sq=delta_sq,
     )
 
 
@@ -182,7 +194,7 @@ class AsymptoticProfile:
 
     b: Tuple[float, float, float]  # (c - 1, alpha - 1, beta - 1)
     varrho: float  # min(b)
-    epsilon: float  # residue coefficient of the leading power
+    log_epsilon: float  # log of the (positive) residue coefficient of the leading power
     n_elements: int
 
     @property
@@ -197,7 +209,8 @@ def asymptotic_profile(
 
     Requires the three exponents c-1, alpha-1, beta-1 to be pairwise
     distinct; coincident values merge poles of the expansion and the
-    single-residue coefficient does not exist.
+    single-residue coefficient does not exist. The coefficient is kept
+    as a logarithm, since its Gamma factors overflow for large exponents.
     """
     b = (g.c - 1.0, t.alpha - 1.0, t.beta - 1.0)
     for i in range(3):
@@ -207,12 +220,22 @@ def asymptotic_profile(
                     f"exponents {b[i]} and {b[j]} are too close for the asymptotic expansion"
                 )
     i_star = min(range(3), key=lambda i: b[i])
-    eps = 1.0
-    for j in range(3):
-        if j != i_star:
-            eps *= math.gamma(b[j] - b[i_star])
-    eps /= float(sp.gamma(g.c - b[i_star]))
-    return AsymptoticProfile(b=b, varrho=b[i_star], epsilon=eps, n_elements=n_elements)
+    if not b[i_star] > -1.0:
+        raise DegenerateParametersError(
+            f"leading exponent {b[i_star]} gives no positive diversity order"
+        )
+    # epsilon = prod_{j != i*} Gamma(b_j - varrho) / Gamma(c - varrho); the
+    # last Gamma has no fixed sign, and a non-positive epsilon is unusable.
+    denominator = g.c - b[i_star]
+    log_eps = float(
+        sum(sp.gammaln(b[j] - b[i_star]) for j in range(3) if j != i_star)
+        - sp.gammaln(denominator)
+    )
+    if not (sp.gammasgn(denominator) > 0 and math.isfinite(log_eps)):
+        raise DegenerateParametersError(
+            "asymptotic coefficient is not a positive finite number; expansion not usable"
+        )
+    return AsymptoticProfile(b=b, varrho=b[i_star], log_epsilon=log_eps, n_elements=n_elements)
 
 
 def asymptotic_outage(
@@ -228,12 +251,8 @@ def asymptotic_outage(
     rho = profile.varrho
     n = profile.n_elements
     d = 0.5 * (1.0 + rho) * n
-    if profile.epsilon <= 0:
-        raise DegenerateParametersError(
-            "asymptotic coefficient is non-positive; expansion not usable"
-        )
     log_k = (
-        math.log(profile.epsilon)
+        profile.log_epsilon
         + math.log(g.c)
         + (1.0 + rho) * (math.log(t.alpha) + math.log(t.beta) - math.log(g.a0))
         + math.lgamma(0.5 * (1.0 + rho))
@@ -279,7 +298,40 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
     return max(val, 0.0)
 
 
-_ORACLE_KINDS = ("outage", "ber_exactQ", "ber_chiani", "capacity", "moment", "mgf")
+# The metrics that are the mean of a per-realization value of the SNR.
+METRIC_KINDS = ("outage", "ber_exactQ", "ber_chiani", "capacity", "moment", "mgf")
+
+
+def metric_value(
+    kind: str,
+    x,
+    *,
+    gamma_th: Optional[float] = None,
+    psi: float = 1.0,
+    n: int = 1,
+    s: float = 0.0,
+):
+    """Per-realization value g(x) at SNR x, vectorized; the metric is E[g(gamma)].
+
+    outage: 1{x <= gamma_th}; ber_exactQ: Q(sqrt(2 psi x)); ber_chiani: the
+    two-exponential approximation of that Q; capacity: log2(1 + x);
+    moment: x^n; mgf: exp(-s x).
+    """
+    if kind == "outage":
+        if gamma_th is None:
+            raise DomainError("outage requires gamma_th")
+        return np.less_equal(x, gamma_th).astype(float)
+    if kind == "ber_exactQ":
+        return 0.5 * sp.erfc(np.sqrt(psi * x))
+    if kind == "ber_chiani":
+        return sum(w * np.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES))
+    if kind == "capacity":
+        return np.log2(1.0 + x)
+    if kind == "moment":
+        return x ** n
+    if kind == "mgf":
+        return np.exp(-s * x)
+    raise DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
 
 
 def oracle_metric(
@@ -294,43 +346,28 @@ def oracle_metric(
 ) -> Tuple[float, float]:
     """Independent quadrature of a metric's defining integral.
 
-    Integrates the stated integrand against the Gaussian aggregate-SNR
-    density on [0, inf); the closed forms above must agree with this to
-    quadrature accuracy.
+    Integrates metric_value against the Gaussian aggregate-SNR density on
+    [0, inf), outage as the density over [0, gamma_th]; the closed forms
+    above must agree with this to quadrature accuracy.
     """
-    if kind not in _ORACLE_KINDS:
-        raise DomainError(f"unknown oracle kind {kind!r}; choose from {_ORACLE_KINDS}")
     mu = gamma_bar * ms.m
     sd = gamma_bar * ms.delta
-
-    def density(x):
-        return pdf_gamma_clt(x, ms.m, ms.delta_sq, gamma_bar)
+    clt = (ms.m, ms.delta_sq, gamma_bar)
 
     if kind == "outage":
         if gamma_th is None:
-            raise DomainError("outage oracle requires gamma_th")
+            raise DomainError("outage requires gamma_th")
         if gamma_th == 0.0:
             return 0.0, 0.0
         pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < gamma_th]
         val, err = integrate.quad(
-            density, 0.0, gamma_th, points=pts or None, epsabs=0.0,
+            pdf_gamma_clt, 0.0, gamma_th, args=clt, points=pts or None, epsabs=0.0,
             epsrel=_ORACLE_REL_TOL, limit=_ORACLE_LIMIT,
         )
         return float(val), float(err)
 
-    if kind == "ber_exactQ":
-        integrand = lambda x: 0.5 * sp.erfc(math.sqrt(psi * x)) * density(x)
-    elif kind == "ber_chiani":
-        integrand = lambda x: (
-            CHIANI_WEIGHTS[0] * math.exp(-CHIANI_RATES[0] * psi * x)
-            + CHIANI_WEIGHTS[1] * math.exp(-CHIANI_RATES[1] * psi * x)
-        ) * density(x)
-    elif kind == "capacity":
-        integrand = lambda x: math.log2(1.0 + x) * density(x)
-    elif kind == "moment":
-        integrand = lambda x: x ** n * density(x)
-    else:  # mgf
-        integrand = lambda x: math.exp(-s * x) * density(x)
+    def integrand(x):
+        return metric_value(kind, x, psi=psi, n=n, s=s) * pdf_gamma_clt(x, *clt)
 
     # Split at the density mode so the adaptive rule sees the mass.
     cut = max(mu + 12.0 * sd, 16.0 * sd)

@@ -142,7 +142,6 @@ class PointingGeometry:
         if not (self.beam_width > 0 and self.aperture_radius > 0):
             raise DomainError("beam width and aperture radius must be positive")
         nu = math.sqrt(math.pi / 2.0) * self.aperture_radius / self.beam_width
-        a0 = math.erf(nu) ** 2
         try:
             wzeq2 = (
                 self.beam_width ** 2
@@ -151,20 +150,20 @@ class PointingGeometry:
                 * math.exp(nu * nu)
                 / (2.0 * nu)
             )
+            denom = (
+                4.0 * self.sigma_theta ** 2 * self.total_distance ** 2
+                + 16.0 * self.sigma_beta ** 2 * self.distance_l2 ** 2
+            )
         except OverflowError as exc:
-            raise DomainError(
-                "aperture radius is too large relative to the beam width"
-            ) from exc
-        denom = (
-            4.0 * self.sigma_theta ** 2 * self.total_distance ** 2
-            + 16.0 * self.sigma_beta ** 2 * self.distance_l2 ** 2
-        )
+            raise DomainError("the pointing parameters overflow a derived constant") from exc
         if not denom > 0:
             raise DomainError("at least one jitter deviation must be positive")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "wzeq2", wzeq2)
-        object.__setattr__(self, "c", wzeq2 / denom)
+        derived = {"nu": nu, "a0": math.erf(nu) ** 2, "wzeq2": wzeq2, "c": wzeq2 / denom}
+        for name, value in derived.items():
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"derived constant {name} = {value:g} is not a positive "
+                                  "finite number")
+            object.__setattr__(self, name, value)
 
     @property
     def total_distance(self) -> float:
@@ -215,15 +214,6 @@ class LinkConfig:
     @staticmethod
     def db_to_linear(x_db: float) -> float:
         return 10.0 ** (x_db / 10.0)
-
-    @classmethod
-    def from_db(cls, n_elements=128, gamma_bar_db=0.0, gamma_th_db=0.0, psi=1.0):
-        return cls(
-            n_elements=n_elements,
-            gamma_bar=cls.db_to_linear(gamma_bar_db),
-            gamma_th=cls.db_to_linear(gamma_th_db),
-            psi=psi,
-        )
 
 
 @dataclass(frozen=True)

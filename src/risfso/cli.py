@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, asdict, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +50,6 @@ CSV_COLUMNS = (
     "seed",
 )
 
-METRICS = ("outage", "ber", "capacity", "af", "moments")
 PRESET_IDS = ("fig2", "fig3", "fig4", "fig5")
 WORKERS_ENV = "RISFSO_WORKERS"
 
@@ -57,6 +57,23 @@ WORKERS_ENV = "RISFSO_WORKERS"
 # point by point, so without a cap a tiny step or a huge stop would hang;
 # the largest benchmark sweep uses 41 points.
 GRID_MAX_POINTS = 10_000
+
+
+def _capacity(ms, gamma_bar: float, spec: SweepSpec) -> float:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return analytic.channel_capacity(ms, gamma_bar)
+
+
+# Sweep metric -> (closed form of (moments, gamma_bar, spec), the
+# analytic.METRIC_KINDS kind of its Monte Carlo estimate and oracle, or None).
+METRICS = {
+    "outage": (lambda ms, gb, spec: analytic.outage_probability(spec.gamma_th, ms, gb), "outage"),
+    "ber": (lambda ms, gb, spec: analytic.average_ber(spec.psi, ms, gb), "ber_exactQ"),
+    "capacity": (_capacity, "capacity"),
+    "af": (lambda ms, gb, spec: analytic.amount_of_fading(2, ms, gb), None),
+    "moments": (lambda ms, gb, spec: analytic.generalized_moment(1, ms, gb), "moment"),
+}
 
 
 def _real(low: float = -math.inf, strict: bool = False):
@@ -111,11 +128,26 @@ def _increasing(values: tuple, what: str) -> tuple:
     return values
 
 
+def _in_db_range(db: float) -> float:
+    """``db``, if its linear value is positive and finite."""
+    try:
+        linear = LinkConfig.db_to_linear(db)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{db:g} dB has no positive finite linear value")
+    return db
+
+
+def _db(text: str) -> float:
+    return _in_db_range(_real()(text))
+
+
 def _grid(text: str) -> Tuple[float, ...]:
     """SNR grid in dB: ``start:stop:step`` or a comma list."""
     number = _real()
     if ":" not in text:
-        return _increasing(tuple(number(p) for p in text.split(",") if p.strip()), "grid")
+        return _increasing(tuple(_db(p) for p in text.split(",") if p.strip()), "grid")
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {text!r}")
@@ -127,7 +159,8 @@ def _grid(text: str) -> Tuple[float, ...]:
         raise ValueError(f"grid has more than {GRID_MAX_POINTS} points")
     count = math.floor(span) + 1 if span >= 0 else 0
     # Each point from its index, so rounding error does not accumulate.
-    return _increasing(tuple(round(start + i * step, 12) for i in range(count)), "grid")
+    points = (_in_db_range(round(start + i * step, 12)) for i in range(count))
+    return _increasing(tuple(points), "grid")
 
 
 def _counts(text: str) -> Tuple[int, ...]:
@@ -162,7 +195,7 @@ _KEYS = {
     "pointing.exponent_c": (None, _real(0, strict=True)),
     "link.gamma_bar_db": ("0:40:2", _grid),
     "link.n_elements": ("128", _counts),
-    "link.gamma_th_db": ("0", _real()),
+    "link.gamma_th_db": ("0", _db),
     "link.psi": ("1", _real(0, strict=True)),
     "sweep.metrics": ("outage,ber,capacity", _metrics),
     "sweep.include_asymptotic": ("false", _flag),
@@ -263,37 +296,45 @@ def validate_config(path: str) -> SweepSpec:
     Every bad line is reported, as ``line N: key: message``, in one
     ConfigError.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config: {exc}"]) from None
     values, lines, errors = dict(DEFAULTS), {}, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, text = (part.strip() for part in line.partition("="))
-            if not eq:
-                errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            elif key not in _KEYS:
-                errors.append(f"line {lineno}: {key}: unknown key")
-            else:
-                try:
-                    values[key] = _KEYS[key][1](text)
-                    lines[key] = lineno
-                except ValueError as exc:
-                    errors.append(f"line {lineno}: {key}: {exc}")
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        elif key not in _KEYS:
+            errors.append(f"line {lineno}: {key}: unknown key")
+        else:
+            try:
+                values[key] = _KEYS[key][1](text)
+                lines[key] = lineno
+            except ValueError as exc:
+                errors.append(f"line {lineno}: {key}: {exc}")
 
-    if values["sweep.include_mc"] and values["mc.samples"] < 1000:
+    if values["sweep.include_mc"] and values["mc.samples"] < montecarlo.MIN_SAMPLES:
         errors.append(f"line {lines['mc.samples']}: mc.samples: "
-                      "must be >= 1000 when MC is enabled")
+                      f"must be >= {montecarlo.MIN_SAMPLES} when MC is enabled")
     if errors:
         raise ConfigError(errors)
 
     try:
         pointing = _pointing_from(values, values["pointing.exponent_c"])
     except DomainError as exc:
-        line = max((ln for key, ln in lines.items() if key.startswith("pointing.")), default=0)
-        raise ConfigError([f"line {line}: pointing: {exc}"]) from None
-
+        raise _section_error(lines, ("pointing.",), exc) from None
     turb = TurbulenceParams(alpha=values["turbulence.alpha"], beta=values["turbulence.beta"])
+    try:
+        for n in values["link.n_elements"]:
+            analytic.moments(turb, pointing, n)
+    except DomainError as exc:
+        raise _section_error(lines, ("turbulence.", "pointing.", "link.n_elements"), exc) from None
+
     return SweepSpec(
         gamma_bar_db=values["link.gamma_bar_db"],
         metrics=values["sweep.metrics"],
@@ -307,6 +348,14 @@ def validate_config(path: str) -> SweepSpec:
         include_oracle=values["sweep.include_oracle"],
         include_mc=values["sweep.include_mc"],
     )
+
+
+def _section_error(lines: Dict[str, int], prefixes: Tuple[str, ...],
+                   exc: Exception) -> ConfigError:
+    """``line N: <section>: <exc>`` at the last config line with one of the key prefixes."""
+    line, key = max(((ln, key) for key, ln in lines.items() if key.startswith(prefixes)),
+                    default=(0, prefixes[0]))
+    return ConfigError([f"line {line}: {key.split('.')[0]}: {exc}"])
 
 
 def _env_workers() -> int:
@@ -406,11 +455,6 @@ def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
     raise DomainError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
 
 
-_MC_KIND = {"outage": "outage", "ber": "ber", "capacity": "capacity", "moments": "moment"}
-_ORACLE_KIND = {"outage": "outage", "ber": "ber_exactQ", "capacity": "capacity",
-                "moments": "moment"}
-
-
 def _metric_label(metric: str, label: str) -> str:
     return f"{metric}@{label}" if label else metric
 
@@ -437,7 +481,7 @@ def run_sweep(spec: SweepSpec) -> Table:
             mc_by_metric: Dict[str, Dict[float, montecarlo.McEstimate]] = {}
             if spec.include_mc:
                 for metric in spec.metrics:
-                    kind = _MC_KIND.get(metric)
+                    kind = METRICS[metric][1]
                     if kind is None:
                         continue
                     mc_by_metric[metric] = montecarlo.estimate_grid(
@@ -447,6 +491,7 @@ def run_sweep(spec: SweepSpec) -> Table:
 
             for db, gb in zip(spec.gamma_bar_db, gammas):
                 for metric in spec.metrics:
+                    closed_form, kind = METRICS[metric]
                     row = Row(
                         gamma_bar_db=db,
                         n_elements=n,
@@ -455,7 +500,7 @@ def run_sweep(spec: SweepSpec) -> Table:
                     )
                     with analytic.track_clamps() as clamps:
                         try:
-                            row.analytic = _analytic_value(metric, ms, gb, spec)
+                            row.analytic = closed_form(ms, gb, spec)
                         except RisFsoError as exc:
                             row.error = str(exc)
                         if metric == "outage" and spec.include_asymptotic:
@@ -466,12 +511,10 @@ def run_sweep(spec: SweepSpec) -> Table:
                             else:
                                 row.error = profile_error
                     row.clamp_events = len(clamps)
-                    if spec.include_oracle:
-                        kind = _ORACLE_KIND.get(metric)
-                        if kind is not None:
-                            row.oracle, _ = analytic.oracle_metric(
-                                kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi, n=1
-                            )
+                    if spec.include_oracle and kind is not None:
+                        row.oracle, _ = analytic.oracle_metric(
+                            kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi, n=1
+                        )
                     est = mc_by_metric.get(metric, {}).get(gb)
                     if est is not None:
                         row.mc_mean = est.mean
@@ -479,24 +522,6 @@ def run_sweep(spec: SweepSpec) -> Table:
                         row.n_samples = est.n_samples
                     rows.append(row)
     return Table(rows=rows, config=spec.resolved())
-
-
-def _analytic_value(metric: str, ms, gamma_bar: float, spec: SweepSpec) -> float:
-    if metric == "outage":
-        return analytic.outage_probability(spec.gamma_th, ms, gamma_bar)
-    if metric == "ber":
-        return analytic.average_ber(spec.psi, ms, gamma_bar)
-    if metric == "capacity":
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return analytic.channel_capacity(ms, gamma_bar)
-    if metric == "af":
-        return analytic.amount_of_fading(2, ms, gamma_bar)
-    if metric == "moments":
-        return analytic.generalized_moment(1, ms, gamma_bar)
-    raise DomainError(f"unknown metric {metric!r}")
 
 
 def _format_cell(value) -> str:
@@ -532,6 +557,17 @@ def emit(table: Table, fmt: str, path: Optional[str] = None) -> str:
     return payload
 
 
+def _flag_value(args: argparse.Namespace, flag: str, key: str):
+    """A command-line flag parsed like the config key of the same meaning."""
+    text = getattr(args, flag[2:].replace("-", "_"))
+    if text is None:
+        return None
+    try:
+        return _KEYS[key][1](text)
+    except ValueError as exc:
+        raise ConfigError([f"{flag}: {exc}"]) from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="risfso",
@@ -541,16 +577,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a sweep from a config file")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--seed")
+    p_sweep.add_argument("--workers")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_fig = sub.add_parser("figure", help="run a published-figure preset")
     p_fig.add_argument("preset", choices=PRESET_IDS)
-    p_fig.add_argument("--mc-samples", type=int, default=10000)
-    p_fig.add_argument("--seed", type=int, default=2024)
-    p_fig.add_argument("--workers", type=int, default=None)
+    p_fig.add_argument("--mc-samples", default="10000")
+    p_fig.add_argument("--seed", default="2024")
+    p_fig.add_argument("--workers")
     p_fig.add_argument("--out", default=None)
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -563,15 +599,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "validate":
             spec = validate_config(args.config)
         elif args.command == "sweep":
+            seed = _flag_value(args, "--seed", "mc.seed")
+            workers = _flag_value(args, "--workers", "mc.workers")
             spec = validate_config(args.config)
-            if args.seed is not None:
-                spec.seed = args.seed
-            if args.workers is not None:
-                spec.workers = args.workers
+            if seed is not None:
+                spec.seed = seed
+            if workers is not None:
+                spec.workers = workers or _env_workers()
         else:
-            workers = args.workers if args.workers is not None else _env_workers()
-            spec = figure_preset(args.preset, mc_samples=args.mc_samples,
-                                 seed=args.seed, workers=workers)
+            samples = _flag_value(args, "--mc-samples", "mc.samples")
+            if samples < montecarlo.MIN_SAMPLES:
+                raise ConfigError([f"--mc-samples: must be >= {montecarlo.MIN_SAMPLES} "
+                                   "when MC is enabled"])
+            seed = _flag_value(args, "--seed", "mc.seed")
+            workers = _flag_value(args, "--workers", "mc.workers") or _env_workers()
+            spec = figure_preset(args.preset, mc_samples=samples, seed=seed, workers=workers)
     except ConfigError as exc:
         for item in exc.items:
             print(f"error: {item}", file=sys.stderr)

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import special as sp
 
-from . import channel
+from . import analytic, channel
 from .channel import LinkConfig, PointingGeometry, RandomStream, TurbulenceParams
 from .errors import DomainError, MergeError
 
@@ -28,20 +28,16 @@ __all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
 BLOCK_SIZE = 4096
 MIN_SAMPLES = 1000
 
-METRIC_KINDS = ("outage", "ber", "capacity", "moment")
-
 BlockStats = Tuple[int, float, float]  # (count, sum, sum of squares)
 
 
-def _fingerprint(t: TurbulenceParams, g: PointingGeometry, cfg: LinkConfig,
-                 metric_kind: str, moment_order: int) -> str:
+def _fingerprint(t: TurbulenceParams, g: PointingGeometry, cfg: LinkConfig) -> str:
     parts = (
         t.alpha, t.beta, g.sigma_theta, g.sigma_beta, g.distance_l1,
         g.distance_l2, g.beam_width, g.aperture_radius, cfg.n_elements,
         cfg.gamma_bar, cfg.gamma_th, cfg.psi,
     )
-    tail = f"|{moment_order}" if metric_kind == "moment" else ""
-    return ",".join(f"{p:.17g}" for p in parts) + tail
+    return ",".join(f"{p:.17g}" for p in parts)
 
 
 @dataclass(frozen=True)
@@ -119,18 +115,6 @@ def confidence_interval(e: McEstimate, level: float) -> Tuple[float, float]:
     return (e.mean - half, e.mean + half)
 
 
-def _metric_values(metric_kind: str, gamma: np.ndarray, cfg: LinkConfig,
-                   moment_order: int) -> np.ndarray:
-    if metric_kind == "outage":
-        return (gamma <= cfg.gamma_th).astype(float)
-    if metric_kind == "ber":
-        # exact Q-function so the closed-form approximation can be bounded
-        return 0.5 * sp.erfc(np.sqrt(cfg.psi * gamma))
-    if metric_kind == "capacity":
-        return np.log2(1.0 + gamma)
-    return gamma ** moment_order
-
-
 def _block_plan(n_samples: int, first_stream: int) -> Sequence[Tuple[int, int]]:
     n_blocks = -(-n_samples // BLOCK_SIZE)
     plan = []
@@ -151,13 +135,12 @@ def estimate(
     seed: int,
     workers: int = 1,
     *,
-    moment_order: int = 1,
     first_stream: int = 0,
 ) -> McEstimate:
     """Monte Carlo estimate of one metric at the configured link settings."""
     return estimate_grid(
         metric_kind, t, g, cfg, [cfg.gamma_bar], n_samples, seed, workers,
-        moment_order=moment_order, first_stream=first_stream,
+        first_stream=first_stream,
     )[cfg.gamma_bar]
 
 
@@ -171,17 +154,20 @@ def estimate_grid(
     seed: int,
     workers: int = 1,
     *,
-    moment_order: int = 1,
     first_stream: int = 0,
 ) -> Dict[float, McEstimate]:
     """One estimate per average-SNR value, reusing the channel samples.
 
-    Z does not depend on the average SNR, so each block is sampled once
-    and evaluated for every grid point; the result for each gamma_bar is
-    bit-identical to a standalone estimate() call at that gamma_bar.
+    Averages analytic.metric_value over the samples (moments are of
+    first order). Z does not depend on the average SNR, so each block is
+    sampled once and evaluated for every grid point; the result for each
+    gamma_bar is bit-identical to a standalone estimate() call at that
+    gamma_bar.
     """
-    if metric_kind not in METRIC_KINDS:
-        raise DomainError(f"unknown metric {metric_kind!r}; choose from {METRIC_KINDS}")
+    if metric_kind not in analytic.METRIC_KINDS:
+        raise DomainError(
+            f"unknown metric kind {metric_kind!r}; choose from {analytic.METRIC_KINDS}"
+        )
     if n_samples < MIN_SAMPLES:
         raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
     cfgs = {
@@ -194,7 +180,8 @@ def estimate_grid(
         z, _ = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
         out = {}
         for gb, cfg in cfgs.items():
-            vals = _metric_values(metric_kind, gb * z, cfg, moment_order)
+            vals = analytic.metric_value(metric_kind, gb * z, gamma_th=cfg.gamma_th,
+                                         psi=cfg.psi)
             out[gb] = (count, float(np.sum(vals)), float(np.sum(vals * vals)))
         return block_id, out
 
@@ -207,7 +194,7 @@ def estimate_grid(
 
     result = {}
     for gb, cfg in cfgs.items():
-        fp = _fingerprint(t, g, cfg, metric_kind, moment_order)
+        fp = _fingerprint(t, g, cfg)
         stats = {bid: blocks[gb] for bid, blocks in per_block.items()}
         result[gb] = McEstimate(metric_kind, fp, seed, stats)
     return result

@@ -9,7 +9,6 @@ parameters produce) need no case analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -20,7 +19,6 @@ from scipy import special as sp
 from .errors import AccuracyError, DomainError, UnsupportedDomainError
 
 __all__ = [
-    "MellinBarnesContour",
     "parabolic_cylinder_d",
     "meijer_g_1330",
 ]
@@ -29,29 +27,6 @@ __all__ = [
 # moment order the analytics need (v = -n-1, n <= 11).
 PCD_V_RANGE = (-12.0, 0.0)
 PCD_Z_RANGE = (-40.0, 40.0)
-
-
-@dataclass(frozen=True)
-class MellinBarnesContour:
-    """Vertical-contour quadrature settings for the Meijer G evaluator.
-
-    ``real_shift`` of None selects the contour automatically, 0.5 to the
-    right of the rightmost integrand pole.
-    """
-
-    real_shift: float | None = None
-    half_height: float = 40.0
-    node_count: int = 512
-    rel_tol: float = 1e-9
-    max_node_count: int = 1 << 16
-
-    def __post_init__(self):
-        if self.node_count < 64:
-            raise DomainError("node_count must be >= 64")
-        if self.half_height <= 0:
-            raise DomainError("half_height must be positive")
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
 
 
 def _pcd_integral_log(v: float, z: float) -> float:
@@ -114,6 +89,14 @@ def parabolic_cylinder_d(v: float, z: float) -> float:
 
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(32)
 
+# Mellin-Barnes contour quadrature: half-height of the vertical line,
+# starting and largest node counts, and the relative tolerance at which
+# two successive node doublings must agree.
+_MB_HALF_HEIGHT = 40.0
+_MB_NODES = 512
+_MB_MAX_NODES = 1 << 16
+_MB_REL_TOL = 1e-9
+
 
 def _auto_shift(b: Sequence[float], a1: float, x: float) -> float:
     """Contour abscissa for the Mellin-Barnes integral.
@@ -145,15 +128,14 @@ def _auto_shift(b: Sequence[float], a1: float, x: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _mb_integral(
-    b: Sequence[float], a1: float, x: float, sigma: float, half_height: float, n: int
-) -> float:
-    """(1/pi) * Re int_0^T of the Mellin-Barnes integrand on Re(s)=sigma.
+def _mb_integral(b: Sequence[float], a1: float, x: float, sigma: float, n: int) -> float:
+    """(1/pi) * Re int_0^T of the Mellin-Barnes integrand on Re(s)=sigma,
+    T = _MB_HALF_HEIGHT.
 
     Composite 32-point Gauss-Legendre panels; n is the total node count.
     """
     n_panels = max(n // 32, 1)
-    edges = np.linspace(0.0, half_height, n_panels + 1)
+    edges = np.linspace(0.0, _MB_HALF_HEIGHT, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     t = (mid + half * _PANEL_NODES[None, :]).ravel()
@@ -174,12 +156,7 @@ def _mb_integral(
     return value, envelope
 
 
-def meijer_g_1330(
-    a1: float,
-    b: Tuple[float, float, float],
-    x: float,
-    contour: MellinBarnesContour | None = None,
-) -> float:
+def meijer_g_1330(a1: float, b: Tuple[float, float, float], x: float) -> float:
     """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real parameters and x > 0.
 
     Evaluated by quadrature of the Mellin-Barnes contour integral
@@ -188,26 +165,21 @@ def meijer_g_1330(
                         * x^(-s) ds
 
     on a vertical line right of every numerator pole. Node count is
-    doubled until two successive evaluations agree to the contour's
-    relative tolerance.
+    doubled until two successive evaluations agree to a relative
+    tolerance of 1e-9.
     """
     if not x > 0:
         raise DomainError(f"meijer_g_1330 requires x > 0, got {x}")
-    c = contour or MellinBarnesContour()
-    sigma = c.real_shift if c.real_shift is not None else _auto_shift(b, a1, x)
-    if sigma <= -min(b):
-        raise DomainError(
-            f"real_shift {sigma} does not lie right of the rightmost pole {-min(b)}"
-        )
+    sigma = _auto_shift(b, a1, x)
 
-    n = c.node_count
-    prev, _ = _mb_integral(b, a1, x, sigma, c.half_height, n)
-    while n < c.max_node_count:
+    n = _MB_NODES
+    prev, _ = _mb_integral(b, a1, x, sigma, n)
+    while n < _MB_MAX_NODES:
         n *= 2
-        cur, envelope = _mb_integral(b, a1, x, sigma, c.half_height, n)
+        cur, envelope = _mb_integral(b, a1, x, sigma, n)
         # Floor the stopping test at the roundoff level of the oscillatory
         # integrand so heavily cancelling (tiny) values can still converge.
-        tol = max(c.rel_tol * max(abs(cur), abs(prev)), 32.0 * np.finfo(float).eps * envelope)
+        tol = max(_MB_REL_TOL * max(abs(cur), abs(prev)), 32.0 * np.finfo(float).eps * envelope)
         if abs(cur - prev) <= tol:
             return cur
         prev = cur

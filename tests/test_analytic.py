@@ -220,7 +220,7 @@ class TestAsymptotics:
         for n in (1, 2, 4):
             prof = analytic.asymptotic_profile(turb, geo, n)
             assert prof.varrho == pytest.approx(-0.5, rel=1e-12)
-            assert prof.epsilon == pytest.approx(EPSILON_REF, rel=1e-12)
+            assert math.exp(prof.log_epsilon) == pytest.approx(EPSILON_REF, rel=1e-12)
             assert prof.diversity_order == pytest.approx(0.25 * n, rel=1e-12)
 
     def test_dominant_exponent_selection(self, geo):

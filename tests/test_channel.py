@@ -293,9 +293,8 @@ class TestLinkConfig:
     def test_db_conversion(self):
         assert channel.LinkConfig.db_to_linear(0.0) == 1.0
         assert channel.LinkConfig.db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
-        cfg = channel.LinkConfig.from_db(n_elements=4, gamma_bar_db=20.0, gamma_th_db=3.0)
-        assert cfg.gamma_bar == pytest.approx(100.0, rel=1e-15)
-        assert cfg.gamma_th == pytest.approx(10 ** 0.3, rel=1e-15)
+        assert channel.LinkConfig.db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
+        assert channel.LinkConfig.db_to_linear(3.0) == pytest.approx(10 ** 0.3, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(DomainError):

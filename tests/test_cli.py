@@ -224,6 +224,40 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith(f"error: line 2: {line.split(' = ')[0]}: ")
 
+    @pytest.mark.parametrize("value", [
+        "0", "1e-300", "-1e-300", "1e-30", "1e30", "1e300", "-1e300", "5000", "-5000",
+    ])
+    @pytest.mark.parametrize("key", [
+        "turbulence.alpha", "turbulence.beta", "pointing.sigma_theta_mrad",
+        "pointing.sigma_beta_mrad", "pointing.beam_width_cm", "pointing.aperture_radius_cm",
+        "pointing.l1_m", "pointing.l2_m", "pointing.exponent_c", "link.gamma_bar_db",
+        "link.gamma_th_db", "link.psi",
+    ])
+    def test_extreme_value_is_a_result_or_one_diagnostic(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, (
+            "link.gamma_bar_db = 0,40\nlink.n_elements = 1,128\n"
+            "sweep.metrics = outage,ber,capacity,af,moments\nsweep.include_oracle = true\n"
+            f"sweep.include_asymptotic = true\nsweep.include_mc = false\n{key} = {value}\n"
+        ))
+        code = cli.main(["sweep", "--config", path])
+        err = capsys.readouterr().err
+        if code != 0:
+            assert code == 2
+            assert err.startswith("error: line 7: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["validate", "--config", "{missing}"],
+        ["sweep", "--config", "{config}", "--seed", "-1"],
+        ["sweep", "--config", "{config}", "--workers", "-2"],
+        ["figure", "fig4", "--mc-samples", "5"],
+    ], ids=["missing-config", "negative-seed", "negative-workers", "few-samples"])
+    def test_bad_flag_is_one_diagnostic(self, tmp_path, capsys, args):
+        names = {"missing": tmp_path / "missing.cfg", "config": write_config(tmp_path, FAST_CONFIG)}
+        assert cli.main([a.format(**names) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert args[-2] in err or "missing.cfg" in err
+
     def test_explicit_single_worker_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "4")
         path = write_config(tmp_path, FAST_CONFIG + "mc.workers = 1\n")

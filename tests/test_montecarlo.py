@@ -44,13 +44,13 @@ class TestDeterminism:
         assert dict(runs[0].block_stats) == dict(runs[1].block_stats)
 
     def test_same_seed_bit_identical(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 10_000, seed=7)
-        b = montecarlo.estimate("ber", turb, geo, cfg, 10_000, seed=7)
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=7)
+        b = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=7)
         assert a.mean == b.mean and a.sum_sq == b.sum_sq
 
     def test_different_seed_differs(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 10_000, seed=7)
-        b = montecarlo.estimate("ber", turb, geo, cfg, 10_000, seed=8)
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=7)
+        b = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=8)
         assert a.mean != b.mean
 
     def test_block_layout(self, turb, geo, cfg):
@@ -78,48 +78,48 @@ class TestMerge:
         assert pooled.sum == whole.sum and pooled.sum_sq == whole.sum_sq
 
     def test_commutative(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=3)
-        b = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=3, first_stream=1)
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
+        b = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3, first_stream=1)
         ab, ba = montecarlo.merge(a, b), montecarlo.merge(b, a)
         assert ab.mean == ba.mean and ab.sum_sq == ba.sum_sq
 
     def test_empty_identity(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=3)
-        empty = montecarlo.McEstimate("ber", a.fingerprint, 0, {})
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
+        empty = montecarlo.McEstimate("ber_exactQ", a.fingerprint, 0, {})
         pooled = montecarlo.merge(a, empty)
         assert pooled.mean == a.mean and pooled.seed == a.seed
 
     def test_rejects_overlap(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=3)
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
         with pytest.raises(MergeError):
             montecarlo.merge(a, a)
 
     def test_rejects_mismatched_kind_or_params(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=3)
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
         b = montecarlo.estimate("outage", turb, geo, cfg, 4_096, seed=3, first_stream=1)
         with pytest.raises(MergeError):
             montecarlo.merge(a, b)
         other_cfg = channel.LinkConfig(n_elements=16, gamma_bar=20.0, gamma_th=1.0)
-        c = montecarlo.estimate("ber", turb, geo, other_cfg, 4_096, seed=3, first_stream=1)
+        c = montecarlo.estimate("ber_exactQ", turb, geo, other_cfg, 4_096, seed=3, first_stream=1)
         with pytest.raises(MergeError):
             montecarlo.merge(a, c)
 
     def test_rejects_mismatched_seed(self, turb, geo, cfg):
-        a = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=3)
-        b = montecarlo.estimate("ber", turb, geo, cfg, 4_096, seed=4, first_stream=1)
+        a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
+        b = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=4, first_stream=1)
         with pytest.raises(MergeError):
             montecarlo.merge(a, b)
 
 
 class TestConfidenceInterval:
     def test_level_95_quantile(self, turb, geo, cfg):
-        e = montecarlo.estimate("ber", turb, geo, cfg, 10_000, seed=5)
+        e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=5)
         lo, hi = montecarlo.confidence_interval(e, 0.95)
         assert hi - lo == pytest.approx(2 * Z_95 * e.stderr, rel=1e-12)
         assert (lo + hi) / 2 == pytest.approx(e.mean, rel=1e-12)
 
     def test_widens_with_level(self, turb, geo, cfg):
-        e = montecarlo.estimate("ber", turb, geo, cfg, 10_000, seed=5)
+        e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=5)
         w90 = np.diff(montecarlo.confidence_interval(e, 0.90))
         w99 = np.diff(montecarlo.confidence_interval(e, 0.99))
         assert w99 > w90
@@ -133,10 +133,10 @@ class TestConfidenceInterval:
         assert lo == hi == 0.0
 
     def test_validation(self, turb, geo, cfg):
-        e = montecarlo.estimate("ber", turb, geo, cfg, 1_000, seed=5)
+        e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 1_000, seed=5)
         with pytest.raises(DomainError):
             montecarlo.confidence_interval(e, 1.5)
-        empty = montecarlo.McEstimate("ber", e.fingerprint, 0, {})
+        empty = montecarlo.McEstimate("ber_exactQ", e.fingerprint, 0, {})
         with pytest.raises(DomainError):
             montecarlo.confidence_interval(empty, 0.95)
 
@@ -155,9 +155,7 @@ class TestStatisticalConsistency:
 
     def test_moment_mean_matches_oracle(self, turb, geo, cfg):
         ms = analytic.moments(turb, geo, cfg.n_elements)
-        e = montecarlo.estimate(
-            "moment", turb, geo, cfg, 200_000, seed=11, moment_order=1
-        )
+        e = montecarlo.estimate("moment", turb, geo, cfg, 200_000, seed=11)
         oracle, _ = analytic.oracle_metric("moment", ms, cfg.gamma_bar, n=1)
         assert abs(e.mean - oracle) <= 4 * e.stderr
 
@@ -173,7 +171,7 @@ class TestStatisticalConsistency:
         with pytest.raises(DomainError):
             montecarlo.estimate("nope", turb, geo, cfg, 2_000, seed=1)
         with pytest.raises(DomainError):
-            montecarlo.estimate("ber", turb, geo, cfg, 10, seed=1)
+            montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10, seed=1)
 
 
 class TestEstimateGrid:
@@ -191,18 +189,18 @@ class TestEstimateGrid:
 
     def test_grid_workers_invisible(self, turb, geo, cfg):
         gammas = [1.0, 10.0]
-        one = montecarlo.estimate_grid("ber", turb, geo, cfg, gammas, 8_192, seed=22)
+        one = montecarlo.estimate_grid("ber_exactQ", turb, geo, cfg, gammas, 8_192, seed=22)
         many = montecarlo.estimate_grid(
-            "ber", turb, geo, cfg, gammas, 8_192, seed=22, workers=8
+            "ber_exactQ", turb, geo, cfg, gammas, 8_192, seed=22, workers=8
         )
         for gb in gammas:
             assert one[gb].mean == many[gb].mean
 
     def test_grid_estimates_mergeable(self, turb, geo, cfg):
         gammas = [1.0, 10.0]
-        a = montecarlo.estimate_grid("ber", turb, geo, cfg, gammas, 4_096, seed=23)
+        a = montecarlo.estimate_grid("ber_exactQ", turb, geo, cfg, gammas, 4_096, seed=23)
         b = montecarlo.estimate_grid(
-            "ber", turb, geo, cfg, gammas, 4_096, seed=23, first_stream=1
+            "ber_exactQ", turb, geo, cfg, gammas, 4_096, seed=23, first_stream=1
         )
         for gb in gammas:
             pooled = montecarlo.merge(a[gb], b[gb])
