@@ -107,8 +107,12 @@ class MomentSummary:
 
 
 def _gamma_ratio(a: float, k: int) -> float:
-    """Gamma(a + k) / (a^k Gamma(a)) evaluated stably."""
-    return math.exp(math.lgamma(a + k) - math.lgamma(a) - k * math.log(a))
+    """Gamma(a + k) / (a^k Gamma(a)) as the product of (1 + i/a) over i < k.
+
+    The product is accurate to rounding for every a > 0; an lgamma
+    difference loses digits as a grows (2e-7 relative at a = 1e8).
+    """
+    return math.prod(1.0 + i / a for i in range(k))
 
 
 def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> MomentSummary:

@@ -175,6 +175,8 @@ def _metrics(text: str) -> Tuple[str, ...]:
             raise ValueError(f"unknown metric {m!r}; choose from {', '.join(METRICS)}")
     if not metrics:
         raise ValueError("metric list is empty")
+    if len(set(metrics)) < len(metrics):
+        raise ValueError(f"metric list repeats a metric: {text!r}")
     return metrics
 
 
@@ -463,6 +465,7 @@ def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate every (gamma_bar, N, metric) cell of the sweep."""
     rows: List[Row] = []
     gammas = [LinkConfig.db_to_linear(db) for db in spec.gamma_bar_db]
+    mc_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_mc and METRICS[m][1]]
 
     for variant in spec.variants:
         t, g = variant.turbulence, variant.pointing
@@ -478,16 +481,11 @@ def run_sweep(spec: SweepSpec) -> Table:
                 except DegenerateParametersError as exc:
                     profile_error = str(exc)
 
-            mc_by_metric: Dict[str, Dict[float, montecarlo.McEstimate]] = {}
-            if spec.include_mc:
-                for metric in spec.metrics:
-                    kind = METRICS[metric][1]
-                    if kind is None:
-                        continue
-                    mc_by_metric[metric] = montecarlo.estimate_grid(
-                        kind, t, g, base_cfg, gammas, spec.mc_samples,
-                        spec.seed, spec.workers,
-                    )
+            estimates = {}
+            if mc_kinds:
+                estimates = montecarlo.estimate_grid(
+                    mc_kinds, t, g, base_cfg, gammas, spec.mc_samples, spec.seed, spec.workers
+                )
 
             for db, gb in zip(spec.gamma_bar_db, gammas):
                 for metric in spec.metrics:
@@ -515,7 +513,7 @@ def run_sweep(spec: SweepSpec) -> Table:
                         row.oracle, _ = analytic.oracle_metric(
                             kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi, n=1
                         )
-                    est = mc_by_metric.get(metric, {}).get(gb)
+                    est = estimates.get(kind, {}).get(gb)
                     if est is not None:
                         row.mc_mean = est.mean
                         row.mc_stderr = est.stderr

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -139,13 +139,13 @@ def estimate(
 ) -> McEstimate:
     """Monte Carlo estimate of one metric at the configured link settings."""
     return estimate_grid(
-        metric_kind, t, g, cfg, [cfg.gamma_bar], n_samples, seed, workers,
+        [metric_kind], t, g, cfg, [cfg.gamma_bar], n_samples, seed, workers,
         first_stream=first_stream,
-    )[cfg.gamma_bar]
+    )[metric_kind][cfg.gamma_bar]
 
 
 def estimate_grid(
-    metric_kind: str,
+    metric_kinds: Sequence[str],
     t: TurbulenceParams,
     g: PointingGeometry,
     base_cfg: LinkConfig,
@@ -155,34 +155,32 @@ def estimate_grid(
     workers: int = 1,
     *,
     first_stream: int = 0,
-) -> Dict[float, McEstimate]:
-    """One estimate per average-SNR value, reusing the channel samples.
+) -> Dict[str, Dict[float, McEstimate]]:
+    """One estimate per (metric kind, average SNR), from one draw of the channel.
 
     Averages analytic.metric_value over the samples (moments are of
-    first order). Z does not depend on the average SNR, so each block is
-    sampled once and evaluated for every grid point; the result for each
-    gamma_bar is bit-identical to a standalone estimate() call at that
-    gamma_bar.
+    first order). Z does not depend on the metric or the average SNR, so
+    each block is sampled once and evaluated for every (kind, gamma_bar);
+    each result is bit-identical to a standalone estimate() call.
     """
-    if metric_kind not in analytic.METRIC_KINDS:
-        raise DomainError(
-            f"unknown metric kind {metric_kind!r}; choose from {analytic.METRIC_KINDS}"
-        )
+    if isinstance(metric_kinds, str) or not metric_kinds:
+        raise DomainError(f"expected a non-empty list of metric kinds, got {metric_kinds!r}")
+    for kind in metric_kinds:
+        if kind not in analytic.METRIC_KINDS:
+            raise DomainError(f"unknown metric kind {kind!r}; choose from {analytic.METRIC_KINDS}")
     if n_samples < MIN_SAMPLES:
         raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
-    cfgs = {
-        gb: LinkConfig(base_cfg.n_elements, gb, base_cfg.gamma_th, base_cfg.psi)
-        for gb in gamma_bars
-    }
+    fingerprints = {gb: _fingerprint(t, g, replace(base_cfg, gamma_bar=gb)) for gb in gamma_bars}
 
     def do_block(item: Tuple[int, int]):
         block_id, count = item
         z, _ = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
         out = {}
-        for gb, cfg in cfgs.items():
-            vals = analytic.metric_value(metric_kind, gb * z, gamma_th=cfg.gamma_th,
-                                         psi=cfg.psi)
-            out[gb] = (count, float(np.sum(vals)), float(np.sum(vals * vals)))
+        for kind in metric_kinds:
+            for gb in fingerprints:
+                vals = analytic.metric_value(kind, gb * z, gamma_th=base_cfg.gamma_th,
+                                             psi=base_cfg.psi)
+                out[kind, gb] = (count, float(np.sum(vals)), float(np.sum(vals * vals)))
         return block_id, out
 
     plan = _block_plan(n_samples, first_stream)
@@ -192,9 +190,8 @@ def estimate_grid(
     else:
         per_block = dict(map(do_block, plan))
 
-    result = {}
-    for gb, cfg in cfgs.items():
-        fp = _fingerprint(t, g, cfg)
-        stats = {bid: blocks[gb] for bid, blocks in per_block.items()}
-        result[gb] = McEstimate(metric_kind, fp, seed, stats)
-    return result
+    return {
+        kind: {gb: McEstimate(kind, fp, seed, {b: out[kind, gb] for b, out in per_block.items()})
+               for gb, fp in fingerprints.items()}
+        for kind in metric_kinds
+    }

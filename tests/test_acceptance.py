@@ -112,8 +112,8 @@ def test_criterion_3_clt_validation(capsys):
         ms = analytic.moments(TURB, GEO, n_elem)
         cfg = channel.LinkConfig(n_elements=n_elem, gamma_bar=1.0, gamma_th=1.0)
         grid = montecarlo.estimate_grid(
-            "outage", TURB, GEO, cfg, gammas, n_samples, seed=2024, workers=8
-        )
+            ["outage"], TURB, GEO, cfg, gammas, n_samples, seed=2024, workers=8
+        )["outage"]
         devs = []
         for gb in gammas:
             p = analytic.outage_probability(1.0, ms, gb)

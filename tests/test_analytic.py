@@ -7,6 +7,7 @@ and monotonicity laws that hold exactly.
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -78,6 +79,13 @@ class TestMoments:
         ms = analytic.moments(turb, geo, 1)
         assert b.mean() == pytest.approx(ms.m1, abs=4 * b.std() / math.sqrt(len(b)))
         assert b.var(ddof=1) == pytest.approx(ms.delta1_sq, rel=0.05)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("a", [15.0, 1e8, 1e15, 1e30])
+    def test_gamma_ratio_matches_exact_product(self, a, k):
+        # Gamma(a + k) / (a^k Gamma(a)) = prod_{i<k} (1 + i/a), in exact rationals.
+        exact = math.prod(1 + Fraction(i) / Fraction(a) for i in range(k))
+        assert analytic._gamma_ratio(a, k) == pytest.approx(float(exact), rel=1e-15)
 
     def test_rejects_bad_element_count(self, turb, geo):
         with pytest.raises(DomainError):

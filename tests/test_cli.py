@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from risfso import cli
+from risfso import channel, cli
 from risfso.errors import ConfigError, DomainError
 
 
@@ -174,6 +174,23 @@ class TestRunSweepAndEmit:
             "ber@a15_b10_s1", "ber@a15_b10_s2", "ber@a6.5_b6_s1"
         }
 
+    def test_each_block_drawn_once_for_all_metrics(self, tmp_path, monkeypatch):
+        streams = []
+        sample = channel.sample_aggregate
+
+        def counted(t, g, cfg, rng, size):
+            streams.append((cfg.n_elements, rng.stream_id))
+            return sample(t, g, cfg, rng, size)
+
+        monkeypatch.setattr(channel, "sample_aggregate", counted)
+        path = write_config(tmp_path, "link.gamma_bar_db = 0,10\nlink.n_elements = 4,16\n"
+                            "sweep.metrics = outage,ber,capacity\nmc.samples = 10000\n"
+                            "mc.workers = 1\n")
+        table = cli.run_sweep(cli.validate_config(path))
+        # 3 blocks per N, each drawn once and evaluated for all three metrics.
+        assert streams == [(4, 0), (4, 1), (4, 2), (16, 0), (16, 1), (16, 2)]
+        assert all(r.n_samples == 10_000 for r in table.rows)
+
 
 class TestMainEntry:
     def test_validate_ok_prints_resolved_spec(self, tmp_path, capsys):
@@ -215,6 +232,7 @@ class TestMainEntry:
         "turbulence.alpha = inf",
         "link.gamma_bar_db = 0,inf",
         "mc.workers = -3",
+        "sweep.metrics = outage,outage",
     ])
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_bad_value_is_one_diagnostic(self, tmp_path, capsys, command, line):

@@ -172,36 +172,45 @@ class TestStatisticalConsistency:
             montecarlo.estimate("nope", turb, geo, cfg, 2_000, seed=1)
         with pytest.raises(DomainError):
             montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10, seed=1)
+        with pytest.raises(DomainError):
+            montecarlo.estimate_grid([], turb, geo, cfg, [1.0], 2_000, seed=1)
+        # A bare string is one kind passed where a list of kinds belongs,
+        # not a list of one-letter kinds.
+        with pytest.raises(DomainError) as exc:
+            montecarlo.estimate_grid("outage", turb, geo, cfg, [1.0], 2_000, seed=1)
+        assert "'o'" not in str(exc.value)
 
 
 class TestEstimateGrid:
     def test_bit_identical_to_standalone(self, turb, geo, cfg):
+        kinds = ["outage", "ber_exactQ", "capacity", "moment"]
         gammas = [1.0, 10.0, 100.0]
-        grid = montecarlo.estimate_grid(
-            "outage", turb, geo, cfg, gammas, 8_192, seed=21
-        )
-        for gb in gammas:
-            solo_cfg = channel.LinkConfig(cfg.n_elements, gb, cfg.gamma_th, cfg.psi)
-            solo = montecarlo.estimate("outage", turb, geo, solo_cfg, 8_192, seed=21)
-            assert grid[gb].mean == solo.mean
-            assert grid[gb].sum_sq == solo.sum_sq
-            assert grid[gb].fingerprint == solo.fingerprint
+        grid = montecarlo.estimate_grid(kinds, turb, geo, cfg, gammas, 8_192, seed=21)
+        assert list(grid) == kinds
+        for kind in kinds:
+            for gb in gammas:
+                solo_cfg = channel.LinkConfig(cfg.n_elements, gb, cfg.gamma_th, cfg.psi)
+                solo = montecarlo.estimate(kind, turb, geo, solo_cfg, 8_192, seed=21)
+                assert grid[kind][gb].metric_kind == solo.metric_kind == kind
+                assert grid[kind][gb].mean == solo.mean
+                assert grid[kind][gb].sum_sq == solo.sum_sq
+                assert grid[kind][gb].fingerprint == solo.fingerprint
 
     def test_grid_workers_invisible(self, turb, geo, cfg):
         gammas = [1.0, 10.0]
-        one = montecarlo.estimate_grid("ber_exactQ", turb, geo, cfg, gammas, 8_192, seed=22)
+        one = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22)
         many = montecarlo.estimate_grid(
-            "ber_exactQ", turb, geo, cfg, gammas, 8_192, seed=22, workers=8
+            ["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22, workers=8
         )
         for gb in gammas:
-            assert one[gb].mean == many[gb].mean
+            assert one["ber_exactQ"][gb].mean == many["ber_exactQ"][gb].mean
 
     def test_grid_estimates_mergeable(self, turb, geo, cfg):
         gammas = [1.0, 10.0]
-        a = montecarlo.estimate_grid("ber_exactQ", turb, geo, cfg, gammas, 4_096, seed=23)
+        a = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 4_096, seed=23)
         b = montecarlo.estimate_grid(
-            "ber_exactQ", turb, geo, cfg, gammas, 4_096, seed=23, first_stream=1
+            ["ber_exactQ"], turb, geo, cfg, gammas, 4_096, seed=23, first_stream=1
         )
         for gb in gammas:
-            pooled = montecarlo.merge(a[gb], b[gb])
+            pooled = montecarlo.merge(a["ber_exactQ"][gb], b["ber_exactQ"][gb])
             assert pooled.n_samples == 8_192
