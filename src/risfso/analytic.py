@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .channel import PointingGeometry, TurbulenceParams, pdf_gamma_clt
+from .channel import PointingGeometry, TurbulenceParams
 from .errors import DegenerateParametersError, DomainError
 from . import numerics
 
@@ -55,6 +55,10 @@ CHIANI_WEIGHTS = (1.0 / 12.0, 1.0 / 4.0)
 CHIANI_RATES = (1.0, 4.0 / 3.0)
 
 _POLE_SEPARATION = 1e-6
+
+# 16-point Gauss-Legendre rule on [-1, 1], for the normal mass of a short
+# interval in outage_probability.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Quadrature budget of the oracles. The outage oracle integrates to the
 # relative tolerance alone: its value can lie hundreds of decades below
@@ -186,9 +190,16 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
     if gamma_th == 0.0:
         return 0.0
     m, d = ms.m, ms.delta
-    # A difference of normal CDFs keeps relative accuracy when both
-    # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
-    val = float(sp.ndtr((gamma_th - m * gamma_bar) / (gamma_bar * d)) - sp.ndtr(-m / d))
+    a, h = -m / d, gamma_th / (gamma_bar * d)
+    if h * max(1.0, -a) <= 1.0:
+        # Phi(a + h) and Phi(a) share their leading digits here, so their
+        # difference would cancel; integrate the density over [a, a + h].
+        x = a + 0.5 * h * (1.0 + _GL_NODES)
+        val = 0.5 * h * float(np.dot(_GL_WEIGHTS, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
+    else:
+        # A difference of normal CDFs keeps relative accuracy when both
+        # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
+        val = float(sp.ndtr((gamma_th - m * gamma_bar) / (gamma_bar * d)) - sp.ndtr(a))
     return _clamp(val, 0.0, 1.0)
 
 
@@ -354,9 +365,19 @@ def oracle_metric(
     [0, inf), outage as the density over [0, gamma_th]; the closed forms
     above must agree with this to quadrature accuracy.
     """
+    if not gamma_bar > 0:
+        raise DomainError("gamma_bar must be positive")
     mu = gamma_bar * ms.m
     sd = gamma_bar * ms.delta
-    clt = (ms.m, ms.delta_sq, gamma_bar)
+    two_var = 2.0 * gamma_bar ** 2 * ms.delta_sq
+    norm = math.sqrt(2.0 * math.pi * ms.delta_sq) * gamma_bar
+
+    # pdf_gamma_clt on one float: quad calls it once per point, and a
+    # 0-d numpy array costs more than the rest of the step. dx * dx
+    # overflows to inf where dx ** 2 would raise.
+    def density(x: float) -> float:
+        dx = x - mu
+        return math.exp(-(dx * dx) / two_var) / norm
 
     if kind == "outage":
         if gamma_th is None:
@@ -365,13 +386,13 @@ def oracle_metric(
             return 0.0, 0.0
         pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < gamma_th]
         val, err = integrate.quad(
-            pdf_gamma_clt, 0.0, gamma_th, args=clt, points=pts or None, epsabs=0.0,
+            density, 0.0, gamma_th, points=pts or None, epsabs=0.0,
             epsrel=_ORACLE_REL_TOL, limit=_ORACLE_LIMIT,
         )
         return float(val), float(err)
 
     def integrand(x):
-        return metric_value(kind, x, psi=psi, n=n, s=s) * pdf_gamma_clt(x, *clt)
+        return metric_value(kind, x, psi=psi, n=n, s=s) * density(x)
 
     # Split at the density mode so the adaptive rule sees the mass.
     cut = max(mu + 12.0 * sd, 16.0 * sd)

@@ -32,6 +32,10 @@ __all__ = [
 
 _CONSISTENCY_TOL = 1e-9
 
+# Elements drawn and summed at a time by sample_aggregate. Changing it
+# changes the seed -> sample mapping of every run with more elements.
+_ELEMENT_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class TurbulenceProvenance:
@@ -268,11 +272,19 @@ def sample_aggregate(
     rng: GeneratorLike,
     size=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw (Z, gamma) where Z = sum_k (h_a_k h_p_k)^2 and gamma = gamma_bar Z."""
+    """Draw (Z, gamma) where Z = sum_k (h_a_k h_p_k)^2 and gamma = gamma_bar Z.
+
+    The elements are drawn and summed _ELEMENT_CHUNK at a time from the one
+    generator, so memory is O(size * _ELEMENT_CHUNK) for any N; up to that
+    many elements the draws and the sum are those of a single chunk.
+    """
     g = _as_generator(rng)
-    shape = (cfg.n_elements,) if size is None else (size, cfg.n_elements)
-    h = sample_h_a(t, g, shape) * sample_h_p(geo, g, shape)
-    z = np.sum(h * h, axis=-1)
+    lead = () if size is None else (size,)
+    z = 0.0
+    for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
+        shape = lead + (min(_ELEMENT_CHUNK, cfg.n_elements - start),)
+        h = sample_h_a(t, g, shape) * sample_h_p(geo, g, shape)
+        z = z + np.sum(h * h, axis=-1)
     return z, cfg.gamma_bar * z
 
 

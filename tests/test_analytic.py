@@ -203,6 +203,22 @@ class TestOutage:
         assert ref > 0.0
         assert analytic.outage_probability(1.0, ms, gbar) == pytest.approx(ref, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("n_elements", [1, 2, 4])
+    def test_high_snr_outage_keeps_relative_accuracy(self, n_elements):
+        # fig4 channel: as the SNR grows, the normal CDF at the two ends of
+        # [0, gamma_th] agrees in more leading digits, and a difference of
+        # the two loses up to 5e-6 relative by 140 dB.
+        turb = channel.TurbulenceParams(alpha=6.5, beta=6.0)
+        geo = channel.PointingGeometry.from_exponent(0.5, 1.2, 0.1, 150.0)
+        ms = analytic.moments(turb, geo, n_elements)
+        with mpmath.workdps(60):
+            m, d = mpmath.mpf(ms.m), mpmath.sqrt(mpmath.mpf(ms.delta_sq))
+            for db in range(0, 145, 5):
+                gbar = channel.LinkConfig.db_to_linear(float(db))
+                ref = mpmath.ncdf(1 / (mpmath.mpf(gbar) * d) - m / d) - mpmath.ncdf(-m / d)
+                got = analytic.outage_probability(1.0, ms, gbar)
+                assert abs(got - ref) <= 1e-13 * ref, f"{db} dB"
+
     @pytest.mark.parametrize("db", [4.0, 6.0])
     def test_oracle_resolves_far_tail(self, turb, db):
         # Default channel at N = 4096: outage near 4.5e-71 and 4.2e-247 lies
@@ -365,6 +381,12 @@ class TestOracleMetric:
     def test_outage_requires_threshold(self, ms):
         with pytest.raises(DomainError):
             analytic.oracle_metric("outage", ms, 1.0)
+
+    @pytest.mark.parametrize("kind", ["outage", "capacity"])
+    def test_rejects_nonpositive_mean_snr(self, ms, kind):
+        for gbar in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                analytic.oracle_metric(kind, ms, gbar, gamma_th=1.0)
 
     def test_exactq_oracle_limits(self, ms):
         # At vanishing SNR the exact-Q average approaches Q(0) = 1/2

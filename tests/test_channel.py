@@ -6,6 +6,7 @@ regression tests, not flaky statistical ones.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,8 +231,10 @@ class TestSamplers:
         )
         assert np.allclose(h, default_geometry().a0, rtol=1e-6)
 
-    def test_aggregate_matches_clt_moments(self, turb, geo):
-        cfg = channel.LinkConfig(n_elements=32, gamma_bar=2.5)
+    @pytest.mark.parametrize("n_elements", [32, 300])
+    def test_aggregate_matches_clt_moments(self, turb, geo, n_elements):
+        # N = 300 sums one full element chunk and a partial second one.
+        cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=2.5)
         z, gam = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(17, 0), 50_000)
         assert np.array_equal(gam, cfg.gamma_bar * z)
         ms = analytic.moments(turb, geo, cfg.n_elements)
@@ -245,6 +248,33 @@ class TestSamplers:
         z1, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
         z2, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
         assert np.array_equal(z1, z2)
+
+    @pytest.mark.parametrize("size", [None, 64])
+    @pytest.mark.parametrize("n_elements", [1, 128, 256])
+    def test_single_chunk_aggregate_is_the_unchunked_sum(self, turb, geo, n_elements, size):
+        # Up to one element chunk, Z is the plain sum over all N elements
+        # drawn in one call each, bit for bit.
+        cfg = channel.LinkConfig(n_elements=n_elements)
+        z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
+        g = channel.RandomStream(5, 2).generator()
+        shape = (n_elements,) if size is None else (size, n_elements)
+        h = channel.sample_h_a(turb, g, shape) * channel.sample_h_p(geo, g, shape)
+        ref = np.sum(h * h, axis=-1)
+        assert np.shape(z) == np.shape(ref)
+        assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
+
+    def test_aggregate_memory_does_not_grow_with_elements(self, turb, geo):
+        peaks = {}
+        for n in (1024, 8192):
+            cfg = channel.LinkConfig(n_elements=n)
+            tracemalloc.start()
+            try:
+                channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 512)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # An unchunked draw holds several 512 x N arrays, a ratio near 8.
+        assert peaks[8192] <= 1.5 * peaks[1024]
 
 
 class TestDensities:

@@ -196,17 +196,26 @@ class TestEstimateGrid:
                 assert grid[kind][gb].sum_sq == solo.sum_sq
                 assert grid[kind][gb].fingerprint == solo.fingerprint
 
-    def test_grid_workers_invisible(self, turb, geo, cfg):
+    # N = 300 draws each block in two element chunks, the second partial.
+    @pytest.mark.parametrize("n_elements", [16, 300])
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_grid_workers_invisible(self, turb, geo, n_elements, workers):
+        cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=10.0, gamma_th=1.0)
         gammas = [1.0, 10.0]
         one = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22)
         many = montecarlo.estimate_grid(
-            ["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22, workers=8
+            ["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22, workers=workers
         )
         for gb in gammas:
-            assert one["ber_exactQ"][gb].mean == many["ber_exactQ"][gb].mean
+            a, b = one["ber_exactQ"][gb], many["ber_exactQ"][gb]
+            assert a.mean == b.mean
+            assert dict(a.block_stats) == dict(b.block_stats)
 
-    def test_grid_estimates_mergeable(self, turb, geo, cfg):
+    @pytest.mark.parametrize("n_elements", [16, 300])
+    def test_grid_estimates_mergeable(self, turb, geo, n_elements):
+        cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=10.0, gamma_th=1.0)
         gammas = [1.0, 10.0]
+        whole = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=23)
         a = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 4_096, seed=23)
         b = montecarlo.estimate_grid(
             ["ber_exactQ"], turb, geo, cfg, gammas, 4_096, seed=23, first_stream=1
@@ -214,3 +223,5 @@ class TestEstimateGrid:
         for gb in gammas:
             pooled = montecarlo.merge(a["ber_exactQ"][gb], b["ber_exactQ"][gb])
             assert pooled.n_samples == 8_192
+            assert pooled.sum == whole["ber_exactQ"][gb].sum
+            assert pooled.sum_sq == whole["ber_exactQ"][gb].sum_sq
