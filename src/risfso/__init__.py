@@ -19,7 +19,6 @@ from .channel import (
     TurbulenceParams,
     derive_turbulence,
     pdf_b,
-    pdf_gamma_clt,
     sample_aggregate,
     sample_h_a,
     sample_h_p,

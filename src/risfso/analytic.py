@@ -157,7 +157,13 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
     if u >= 0:
         # erfc(u) e^{A} = erfcx(u) e^{A - u^2}, and A - u^2 = -m^2/(2 d^2)
         return 0.5 * float(sp.erfcx(u)) * math.exp(-m * m / (2.0 * d * d))
-    a_exp = 0.5 * s * s * gamma_bar ** 2 * d * d - s * gamma_bar * m
+    try:
+        a_exp = 0.5 * s * s * gamma_bar ** 2 * d * d - s * gamma_bar * m
+    except OverflowError:
+        # gamma_bar^2 alone overflows, but s g d < m / d here, so the
+        # exponent is finite (and not positive).
+        x = s * gamma_bar * d
+        a_exp = x * (0.5 * x - m / d)
     return 0.5 * math.erfc(u) * math.exp(a_exp)
 
 
@@ -180,7 +186,14 @@ def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     """n-th order amount of fading, E[gamma^n] / E[gamma]^n - 1."""
     if n == 1:
         return 0.0
-    return generalized_moment(n, ms, gamma_bar) / generalized_moment(1, ms, gamma_bar) ** n - 1.0
+    try:
+        af = generalized_moment(n, ms, gamma_bar) / generalized_moment(1, ms, gamma_bar) ** n - 1.0
+    except (OverflowError, ZeroDivisionError):
+        af = math.nan
+    if math.isfinite(af) or gamma_bar == 1.0:
+        return af
+    # The moments left the float range, but their ratio does not depend on gamma_bar.
+    return amount_of_fading(n, ms, 1.0)
 
 
 def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> float:
@@ -369,11 +382,16 @@ def oracle_metric(
         raise DomainError("gamma_bar must be positive")
     mu = gamma_bar * ms.m
     sd = gamma_bar * ms.delta
-    two_var = 2.0 * gamma_bar ** 2 * ms.delta_sq
+    try:
+        two_var = 2.0 * gamma_bar ** 2 * ms.delta_sq
+    except OverflowError:
+        two_var = math.inf
+    if not 0.0 < two_var < math.inf:
+        raise DomainError(f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
     norm = math.sqrt(2.0 * math.pi * ms.delta_sq) * gamma_bar
 
-    # pdf_gamma_clt on one float: quad calls it once per point, and a
-    # 0-d numpy array costs more than the rest of the step. dx * dx
+    # The Gaussian density on one float: quad calls it once per point, and
+    # a 0-d numpy array costs more than the rest of the step. dx * dx
     # overflows to inf where dx ** 2 would raise.
     def density(x: float) -> float:
         dx = x - mu

@@ -27,7 +27,6 @@ __all__ = [
     "sample_h_p",
     "sample_aggregate",
     "pdf_b",
-    "pdf_gamma_clt",
 ]
 
 _CONSISTENCY_TOL = 1e-9
@@ -306,15 +305,3 @@ def pdf_b(x, t: TurbulenceParams, geo: PointingGeometry):
         np.shape(x)
     )
 
-
-def pdf_gamma_clt(x, m: float, delta2: float, gamma_bar: float):
-    """Gaussian (CLT) density of the aggregate SNR gamma = gamma_bar * Z."""
-    if not delta2 > 0:
-        raise DomainError("delta2 must be positive")
-    if not gamma_bar > 0:
-        raise DomainError("gamma_bar must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-((x - gamma_bar * m) ** 2) / (2.0 * gamma_bar ** 2 * delta2)) / (
-        math.sqrt(2.0 * math.pi * delta2) * gamma_bar
-    )
-    return float(out) if out.ndim == 0 else out

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analytic, montecarlo
@@ -50,7 +50,6 @@ CSV_COLUMNS = (
     "seed",
 )
 
-PRESET_IDS = ("fig2", "fig3", "fig4", "fig5")
 WORKERS_ENV = "RISFSO_WORKERS"
 
 # Longest SNR grid a config may request. A start:stop:step grid is built
@@ -228,14 +227,14 @@ class SweepSpec:
     gamma_bar_db: Tuple[float, ...]
     metrics: Tuple[str, ...]
     variants: Tuple[ChannelVariant, ...]
-    gamma_th: float = 1.0
-    psi: float = 1.0
-    mc_samples: int = 100000
-    seed: int = 2024
-    workers: int = 1
-    include_asymptotic: bool = False
-    include_oracle: bool = False
-    include_mc: bool = True
+    gamma_th: float
+    psi: float
+    mc_samples: int
+    seed: int
+    workers: int
+    include_asymptotic: bool
+    include_oracle: bool
+    include_mc: bool
 
     def resolved(self) -> dict:
         """JSON-serializable echo of every parameter driving the sweep."""
@@ -292,17 +291,44 @@ class Table:
     config: dict
 
 
-def validate_config(path: str) -> SweepSpec:
-    """Parse and validate a sweep config, applying baseline defaults.
+# The paper's Figs. 2-5 as config text: the keys all variants share, then
+# (label, keys) per channel variant, each parsed and checked like a config file.
+_PRESETS = {
+    # Capacity for several element counts, plus the no-reflector direct
+    # link (one 100 m path, transmitter jitter only).
+    "fig2": ("sweep.metrics = capacity", (
+        ("", "link.n_elements = 1,16,64,128,256"),
+        ("direct", "link.n_elements = 1\npointing.sigma_beta_mrad = 0\n"
+                   "pointing.l1_m = 0\npointing.l2_m = 100"),
+    )),
+    # Outage at N = 128 for several beam-width / aperture ratios.
+    "fig3": ("sweep.metrics = outage", (
+        ("wz120_a10", ""),
+        ("wz80_a10", "pointing.beam_width_cm = 80"),
+        ("wz120_a20", "pointing.aperture_radius_cm = 20"),
+    )),
+    # Asymptotic outage: heavy jitter (exponent c = 0.5), strong turbulence, small N.
+    "fig4": ("sweep.metrics = outage\nsweep.include_asymptotic = true\n"
+             "link.gamma_bar_db = 0:80:5\nlink.n_elements = 1,2,4\n"
+             "pointing.exponent_c = 0.5\nturbulence.alpha = 6.5\nturbulence.beta = 6",
+             (("", ""),)),
+    # BER at N = 128, L1 = 350 m, L2 = 250 m, 20 cm aperture, for
+    # turbulence-strength and transmitter-jitter variants.
+    "fig5": ("sweep.metrics = ber\npointing.l1_m = 350\npointing.l2_m = 250\n"
+             "pointing.aperture_radius_cm = 20", (
+        ("a15_b10_s1", ""),
+        ("a15_b10_s2", "pointing.sigma_theta_mrad = 2"),
+        ("a6.5_b6_s1", "turbulence.alpha = 6.5\nturbulence.beta = 6"),
+    )),
+}
 
-    Every bad line is reported, as ``line N: key: message``, in one
-    ConfigError.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([f"cannot read config: {exc}"]) from None
+PRESET_IDS = tuple(_PRESETS)
+
+
+def _parse(raw_lines: Sequence[str]) -> Tuple[dict, Dict[str, int]]:
+    """Config values (defaults overridden by ``key = value`` lines) and the
+    line setting each key; every bad line is a ``line N: key: message`` of
+    one ConfigError."""
     values, lines, errors = dict(DEFAULTS), {}, []
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -325,22 +351,32 @@ def validate_config(path: str) -> SweepSpec:
                       f"must be >= {montecarlo.MIN_SAMPLES} when MC is enabled")
     if errors:
         raise ConfigError(errors)
+    return values, lines
 
-    try:
-        pointing = _pointing_from(values, values["pointing.exponent_c"])
-    except DomainError as exc:
-        raise _section_error(lines, ("pointing.",), exc) from None
-    turb = TurbulenceParams(alpha=values["turbulence.alpha"], beta=values["turbulence.beta"])
-    try:
-        for n in values["link.n_elements"]:
-            analytic.moments(turb, pointing, n)
-    except DomainError as exc:
-        raise _section_error(lines, ("turbulence.", "pointing.", "link.n_elements"), exc) from None
+
+def _sweep(variants: Sequence[Tuple[str, Sequence[str]]]) -> SweepSpec:
+    """Sweep from one (label, config lines) per channel variant; the sweep
+    keys are read from the last one."""
+    channels = []
+    for label, raw_lines in variants:
+        values, lines = _parse(raw_lines)
+        try:
+            pointing = _pointing_from(values)
+        except DomainError as exc:
+            raise _section_error(lines, ("pointing.",), exc) from None
+        turb = TurbulenceParams(alpha=values["turbulence.alpha"], beta=values["turbulence.beta"])
+        try:
+            for n in values["link.n_elements"]:
+                analytic.moments(turb, pointing, n)
+        except DomainError as exc:
+            raise _section_error(lines, ("turbulence.", "pointing.", "link.n_elements"),
+                                 exc) from None
+        channels.append(ChannelVariant(label, turb, pointing, values["link.n_elements"]))
 
     return SweepSpec(
         gamma_bar_db=values["link.gamma_bar_db"],
         metrics=values["sweep.metrics"],
-        variants=(ChannelVariant("", turb, pointing, values["link.n_elements"]),),
+        variants=tuple(channels),
         gamma_th=LinkConfig.db_to_linear(values["link.gamma_th_db"]),
         psi=values["link.psi"],
         mc_samples=values["mc.samples"],
@@ -350,6 +386,27 @@ def validate_config(path: str) -> SweepSpec:
         include_oracle=values["sweep.include_oracle"],
         include_mc=values["sweep.include_mc"],
     )
+
+
+def validate_config(path: str) -> SweepSpec:
+    """Parse and validate a sweep config, applying baseline defaults."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config: {exc}"]) from None
+    return _sweep((("", raw_lines),))
+
+
+def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = DEFAULTS["mc.seed"],
+                  workers: int = 1) -> SweepSpec:
+    """Parameter sets behind the published capacity/outage/BER sweeps."""
+    if preset_id not in _PRESETS:
+        raise DomainError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
+    shared, variants = _PRESETS[preset_id]
+    run = f"mc.samples = {mc_samples}\nmc.seed = {seed}\nmc.workers = {workers}"
+    return _sweep([(label, f"{shared}\n{keys}\n{run}".splitlines())
+                   for label, keys in variants])
 
 
 def _section_error(lines: Dict[str, int], prefixes: Tuple[str, ...],
@@ -368,13 +425,13 @@ def _env_workers() -> int:
         raise ConfigError([f"{WORKERS_ENV}: {exc}"]) from None
 
 
-def _pointing_from(values: dict, exponent_c: Optional[float] = None) -> PointingGeometry:
+def _pointing_from(values: dict) -> PointingGeometry:
     """Pointing geometry from config values, converted from their key units."""
     wz = values["pointing.beam_width_cm"] / 100.0
     ap = values["pointing.aperture_radius_cm"] / 100.0
     l2 = values["pointing.l2_m"]
-    if exponent_c is not None:
-        return PointingGeometry.from_exponent(exponent_c, wz, ap, l2)
+    if values["pointing.exponent_c"] is not None:
+        return PointingGeometry.from_exponent(values["pointing.exponent_c"], wz, ap, l2)
     return PointingGeometry(
         sigma_theta=values["pointing.sigma_theta_mrad"] * 1e-3,
         sigma_beta=values["pointing.sigma_beta_mrad"] * 1e-3,
@@ -383,82 +440,6 @@ def _pointing_from(values: dict, exponent_c: Optional[float] = None) -> Pointing
         beam_width=wz,
         aperture_radius=ap,
     )
-
-
-def _default_pointing(**overrides) -> PointingGeometry:
-    return replace(_pointing_from(DEFAULTS), **overrides)
-
-
-def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = 2024,
-                  workers: int = 1) -> SweepSpec:
-    """Parameter sets behind the published capacity/outage/BER sweeps."""
-    turb_default = TurbulenceParams(alpha=DEFAULTS["turbulence.alpha"],
-                                    beta=DEFAULTS["turbulence.beta"])
-    common = dict(mc_samples=mc_samples, seed=seed, workers=workers)
-    grid = tuple(float(v) for v in range(0, 42, 2))
-
-    if preset_id == "fig2":
-        # Capacity vs average SNR for a range of element counts, plus the
-        # no-reflector direct link baseline (single 100 m path, transmitter
-        # jitter only).
-        direct = _default_pointing(sigma_beta=0.0, distance_l1=0.0, distance_l2=100.0)
-        return SweepSpec(
-            gamma_bar_db=grid,
-            metrics=("capacity",),
-            variants=(
-                ChannelVariant("", turb_default, _default_pointing(), (1, 16, 64, 128, 256)),
-                ChannelVariant("direct", turb_default, direct, (1,)),
-            ),
-            **common,
-        )
-    if preset_id == "fig3":
-        # Outage at N = 128 for several beam-width / aperture ratios.
-        variants = tuple(
-            ChannelVariant(
-                f"wz{int(wz * 100)}_a{int(ap * 100)}",
-                turb_default,
-                _default_pointing(beam_width=wz, aperture_radius=ap),
-                (128,),
-            )
-            for wz, ap in ((1.2, 0.1), (0.8, 0.1), (1.2, 0.2))
-        )
-        return SweepSpec(gamma_bar_db=grid, metrics=("outage",), variants=variants, **common)
-    if preset_id == "fig4":
-        # Asymptotic outage: alpha = 6.5, beta = 6.0, heavy jitter with
-        # pointing exponent c = 0.5, small element counts.
-        turb = TurbulenceParams(alpha=6.5, beta=6.0)
-        pointing = _pointing_from(DEFAULTS, exponent_c=0.5)
-        return SweepSpec(
-            gamma_bar_db=tuple(float(v) for v in range(0, 85, 5)),
-            metrics=("outage",),
-            variants=(ChannelVariant("", turb, pointing, (1, 2, 4)),),
-            include_asymptotic=True,
-            **common,
-        )
-    if preset_id == "fig5":
-        # BER at N = 128, L1 = 350 m, L2 = 250 m, 20 cm aperture, for
-        # turbulence-strength and transmitter-jitter variants.
-        geo = dict(distance_l1=350.0, distance_l2=250.0, aperture_radius=0.2)
-        variants = (
-            ChannelVariant(
-                "a15_b10_s1", turb_default,
-                _default_pointing(sigma_theta=1e-3, **geo), (128,),
-            ),
-            ChannelVariant(
-                "a15_b10_s2", turb_default,
-                _default_pointing(sigma_theta=2e-3, **geo), (128,),
-            ),
-            ChannelVariant(
-                "a6.5_b6_s1", TurbulenceParams(alpha=6.5, beta=6.0),
-                _default_pointing(sigma_theta=1e-3, **geo), (128,),
-            ),
-        )
-        return SweepSpec(gamma_bar_db=grid, metrics=("ber",), variants=variants, **common)
-    raise DomainError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
-
-
-def _metric_label(metric: str, label: str) -> str:
-    return f"{metric}@{label}" if label else metric
 
 
 def run_sweep(spec: SweepSpec) -> Table:
@@ -473,8 +454,7 @@ def run_sweep(spec: SweepSpec) -> Table:
             ms = analytic.moments(t, g, n)
             base_cfg = LinkConfig(n_elements=n, gamma_bar=1.0,
                                   gamma_th=spec.gamma_th, psi=spec.psi)
-            profile = None
-            profile_error = None
+            profile = profile_error = None
             if spec.include_asymptotic and "outage" in spec.metrics:
                 try:
                     profile = analytic.asymptotic_profile(t, g, n)
@@ -493,7 +473,7 @@ def run_sweep(spec: SweepSpec) -> Table:
                     row = Row(
                         gamma_bar_db=db,
                         n_elements=n,
-                        metric=_metric_label(metric, variant.label),
+                        metric=f"{metric}@{variant.label}" if variant.label else metric,
                         seed=spec.seed if spec.include_mc else None,
                     )
                     with analytic.track_clamps() as clamps:
@@ -510,9 +490,11 @@ def run_sweep(spec: SweepSpec) -> Table:
                                 row.error = profile_error
                     row.clamp_events = len(clamps)
                     if spec.include_oracle and kind is not None:
-                        row.oracle, _ = analytic.oracle_metric(
-                            kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi, n=1
-                        )
+                        try:
+                            row.oracle, _ = analytic.oracle_metric(
+                                kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi)
+                        except RisFsoError as exc:
+                            row.error = row.error or f"oracle: {exc}"
                     est = estimates.get(kind, {}).get(gb)
                     if est is not None:
                         row.mc_mean = est.mean
@@ -583,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_fig = sub.add_parser("figure", help="run a published-figure preset")
     p_fig.add_argument("preset", choices=PRESET_IDS)
     p_fig.add_argument("--mc-samples", default="10000")
-    p_fig.add_argument("--seed", default="2024")
+    p_fig.add_argument("--seed", default=_KEYS["mc.seed"][0])
     p_fig.add_argument("--workers")
     p_fig.add_argument("--out", default=None)
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -110,6 +110,14 @@ class TestMgf:
         vals = [analytic.mgf(s, ms, 5.0) for s in (0.0, 0.1, 1.0, 10.0)]
         assert vals == sorted(vals, reverse=True)
 
+    @pytest.mark.parametrize("gbar", [1e160, 1e300])
+    def test_square_of_mean_snr_may_overflow(self, ms, gbar):
+        # M depends on s * gbar alone; gbar^2 overflows but the exponent does not.
+        assert analytic.mgf(0.0, ms, gbar) == analytic.mgf(0.0, ms, 1.0)
+        assert analytic.mgf(1.0 / gbar, ms, gbar) == pytest.approx(
+            analytic.mgf(1.0, ms, 1.0), rel=1e-12
+        )
+
     def test_rejects_negative_rate(self, ms):
         with pytest.raises(DomainError):
             analytic.mgf(-0.5, ms, 1.0)
@@ -164,6 +172,13 @@ class TestAmountOfFading:
     def test_independent_of_mean_snr(self, ms):
         assert analytic.amount_of_fading(2, ms, 0.5) == pytest.approx(
             analytic.amount_of_fading(2, ms, 500.0), rel=1e-9
+        )
+
+
+    @pytest.mark.parametrize("gbar", [1e-300, 1e160, 1e300])
+    def test_moments_out_of_float_range(self, ms, gbar):
+        assert analytic.amount_of_fading(2, ms, gbar) == pytest.approx(
+            analytic.amount_of_fading(2, ms, 1.0), rel=1e-12
         )
 
 
@@ -387,6 +402,11 @@ class TestOracleMetric:
         for gbar in (0.0, -1.0):
             with pytest.raises(DomainError):
                 analytic.oracle_metric(kind, ms, gbar, gamma_th=1.0)
+
+    @pytest.mark.parametrize("gbar", [1e-300, 1e160])
+    def test_rejects_snr_variance_out_of_float_range(self, ms, gbar):
+        with pytest.raises(DomainError):
+            analytic.oracle_metric("capacity", ms, gbar)
 
     def test_exactq_oracle_limits(self, ms):
         # At vanishing SNR the exact-Q average approaches Q(0) = 1/2

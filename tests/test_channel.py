@@ -294,14 +294,6 @@ class TestDensities:
         with pytest.raises(DomainError):
             channel.pdf_b(0.0, turb, geo)
 
-    def test_pdf_gamma_clt_is_normalized_gaussian(self):
-        m, d2, gbar = 3.0, 0.7, 2.0
-        xs = np.linspace(-5, 20, 9)
-        ref = stats.norm.pdf(xs, loc=gbar * m, scale=gbar * math.sqrt(d2))
-        assert np.allclose(channel.pdf_gamma_clt(xs, m, d2, gbar), ref, rtol=1e-12)
-        with pytest.raises(DomainError):
-            channel.pdf_gamma_clt(1.0, m, -1.0, gbar)
-
     def test_clt_error_shrinks_with_elements(self, turb, geo):
         # KS distance between sampled aggregate SNR and its Gaussian
         # approximation must shrink as the element count grows.

@@ -1,6 +1,7 @@
 """Tests for config validation, figure presets, sweeps, and emission."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -117,6 +118,15 @@ class TestFigurePresets:
         assert labels == ["a15_b10_s1", "a15_b10_s2", "a6.5_b6_s1"]
         assert all(v.pointing.distance_l1 == 350.0 for v in spec.variants)
 
+    def test_preset_is_its_config_file(self, tmp_path):
+        path = write_config(tmp_path, (
+            "sweep.metrics = outage\nsweep.include_asymptotic = true\n"
+            "link.gamma_bar_db = 0:80:5\nlink.n_elements = 1,2,4\n"
+            "pointing.exponent_c = 0.5\nturbulence.alpha = 6.5\nturbulence.beta = 6\n"
+            "mc.samples = 10000\nmc.workers = 1\n"
+        ))
+        assert cli.figure_preset("fig4") == cli.validate_config(path)
+
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
             cli.figure_preset("fig9")
@@ -162,13 +172,8 @@ class TestRunSweepAndEmit:
             cli.emit(table, "xml")
 
     def test_variant_label_in_metric_column(self):
-        spec = cli.figure_preset("fig5", mc_samples=1000)
-        spec = cli.SweepSpec(
-            gamma_bar_db=(0.0,),
-            metrics=spec.metrics,
-            variants=spec.variants,
-            include_mc=False,
-        )
+        preset = cli.figure_preset("fig5", mc_samples=1000)
+        spec = dataclasses.replace(preset, gamma_bar_db=(0.0,), include_mc=False)
         table = cli.run_sweep(spec)
         assert {r.metric for r in table.rows} == {
             "ber@a15_b10_s1", "ber@a15_b10_s2", "ber@a6.5_b6_s1"
@@ -244,6 +249,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("value", [
         "0", "1e-300", "-1e-300", "1e-30", "1e30", "1e300", "-1e300", "5000", "-5000",
+        "1600", "3000", "-1600", "-3000",
     ])
     @pytest.mark.parametrize("key", [
         "turbulence.alpha", "turbulence.beta", "pointing.sigma_theta_mrad",
