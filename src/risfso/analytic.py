@@ -203,6 +203,9 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
     if gamma_th == 0.0:
         return 0.0
     m, d = ms.m, ms.delta
+    if gamma_bar * d == 0.0:
+        # gamma_th / (gamma_bar d) is past every float: the limit Phi(m / d).
+        return float(sp.ndtr(m / d))
     a, h = -m / d, gamma_th / (gamma_bar * d)
     if h * max(1.0, -a) <= 1.0:
         # Phi(a + h) and Phi(a) share their leading digits here, so their

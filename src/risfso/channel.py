@@ -294,10 +294,10 @@ def pdf_b(x, t: TurbulenceParams, geo: PointingGeometry):
     bees = (c - 1.0, a - 1.0, b - 1.0)
 
     def one(xi: float) -> float:
-        if not xi > 0:
-            raise DomainError(f"pdf_b requires x > 0, got {xi}")
+        if not 0.0 < xi < math.inf:
+            raise DomainError(f"pdf_b requires finite x > 0, got {xi}")
         g = numerics.meijer_g_1330(c, bees, a * b * math.sqrt(xi) / a0)
-        return max(pref / math.sqrt(xi) * g, 0.0)
+        return pref / math.sqrt(xi) * g
 
     if np.isscalar(x):
         return one(float(x))

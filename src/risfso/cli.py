@@ -498,8 +498,11 @@ def run_sweep(spec: SweepSpec) -> Table:
                     est = estimates.get(kind, {}).get(gb)
                     if est is not None:
                         row.mc_mean = est.mean
-                        row.mc_stderr = est.stderr
                         row.n_samples = est.n_samples
+                        try:
+                            row.mc_stderr = est.stderr
+                        except RisFsoError as exc:
+                            row.error = row.error or f"mc: {exc}"
                     rows.append(row)
     return Table(rows=rows, config=spec.resolved())
 

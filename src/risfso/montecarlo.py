@@ -83,7 +83,12 @@ class McEstimate:
         n = self.n_samples
         if n < 1:
             raise DomainError("estimate is empty")
-        var = max(self.sum_sq / n - self.mean ** 2, 0.0)
+        try:
+            var = max(self.sum_sq / n - self.mean ** 2, 0.0)
+        except OverflowError:
+            var = math.inf
+        if not var < math.inf:
+            raise DomainError("the sample second moment is past the float range")
         return math.sqrt(var / n)
 
 

@@ -1,27 +1,23 @@
 """Special-function and quadrature kernel.
 
-Everything here is pure and reentrant. The Meijer G evaluator uses a
-numeric Mellin-Barnes contour rather than a residue series so that
-integer-coincident pole differences (which the default turbulence
-parameters produce) need no case analysis.
+Everything here is pure and reentrant. The Meijer G evaluator is one
+Bessel-K integral taken by adaptive quadrature rather than a residue
+series, so integer-coincident pole differences (which the default
+turbulence parameters produce) need no case analysis.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy import special as sp
 
 from .errors import AccuracyError, DomainError, UnsupportedDomainError
 
-__all__ = [
-    "parabolic_cylinder_d",
-    "meijer_g_1330",
-]
+__all__ = ["parabolic_cylinder_d", "meijer_g_1330"]
 
 # Implemented domain of parabolic_cylinder_d; wide enough for every
 # moment order the analytics need (v = -n-1, n <= 11).
@@ -87,106 +83,39 @@ def parabolic_cylinder_d(v: float, z: float) -> float:
     return math.exp(-0.25 * z * z - math.lgamma(-v) + log_i)
 
 
-_PANEL_NODES, _PANEL_WEIGHTS = leggauss(32)
-
-# Mellin-Barnes contour quadrature: half-height of the vertical line,
-# starting and largest node counts, and the relative tolerance at which
-# two successive node doublings must agree.
-_MB_HALF_HEIGHT = 40.0
-_MB_NODES = 512
-_MB_MAX_NODES = 1 << 16
-_MB_REL_TOL = 1e-9
-
-
-def _auto_shift(b: Sequence[float], a1: float, x: float) -> float:
-    """Contour abscissa for the Mellin-Barnes integral.
-
-    Poles sit at s = -b_j - n (n >= 0), so any sigma >= 0.5 - min(b)
-    keeps a distance of at least 0.5 from all of them. For large x the
-    contour is moved further right, to the saddle of the integrand
-    (where sum psi(b_j + s) - psi(a1 + s) = ln x), which suppresses the
-    oscillatory cancellation that otherwise drowns tiny tail values.
-    """
-    sigma_min = 0.5 - min(b)
-
-    def slope(sigma):
-        return float(
-            sum(sp.digamma(bi + sigma) for bi in b) - sp.digamma(a1 + sigma)
-        ) - math.log(x)
-
-    if slope(sigma_min) >= 0.0:
-        return sigma_min
-    lo, hi = sigma_min, sigma_min + 1.0
-    while slope(hi) < 0.0 and hi < sigma_min + 1e8:
-        hi = sigma_min + 2.0 * (hi - sigma_min)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _mb_integral(b: Sequence[float], a1: float, x: float, sigma: float, n: int) -> float:
-    """(1/pi) * Re int_0^T of the Mellin-Barnes integrand on Re(s)=sigma,
-    T = _MB_HALF_HEIGHT.
-
-    Composite 32-point Gauss-Legendre panels; n is the total node count.
-    """
-    n_panels = max(n // 32, 1)
-    edges = np.linspace(0.0, _MB_HALF_HEIGHT, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    t = (mid + half * _PANEL_NODES[None, :]).ravel()
-    w = (half * _PANEL_WEIGHTS[None, :]).ravel()
-    s = sigma + 1j * t
-    log_num = sum(sp.loggamma(bi + s) for bi in b)
-    log_vals = log_num - sp.loggamma(a1 + s) - s * math.log(x)
-    # Rescale by the t = 0 magnitude so a saddle-shifted contour with
-    # huge Gamma factors cannot overflow the elementwise exp.
-    ref = sum(math.lgamma(bi + sigma) for bi in b) - math.lgamma(a1 + sigma) - sigma * math.log(x)
-    vals = np.exp(log_vals - ref)
-    try:
-        scale = math.exp(ref)
-    except OverflowError:
-        return math.inf, math.inf
-    value = scale * float(np.sum(w * np.real(vals))) / math.pi
-    envelope = scale * float(np.sum(w * np.abs(vals))) / math.pi
-    return value, envelope
-
-
 def meijer_g_1330(a1: float, b: Tuple[float, float, float], x: float) -> float:
-    """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real parameters and x > 0.
+    """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real parameters, a1 > b1 and 0 < x < inf.
 
-    Evaluated by quadrature of the Mellin-Barnes contour integral
-
-        (1/2 pi i) int Gamma(b1+s) Gamma(b2+s) Gamma(b3+s) / Gamma(a1+s)
-                        * x^(-s) ds
-
-    on a vertical line right of every numerator pole. Node count is
-    doubled until two successive evaluations agree to a relative
-    tolerance of 1e-9.
+    Gamma(b1+s) / Gamma(a1+s) and Gamma(b2+s) Gamma(b3+s) are the Mellin transforms
+    of a Beta kernel and of 2 y^((b2+b3)/2) K_{b2-b3}(2 sqrt(y)), so G is
+        x^b1 / (2^(lam-1) Gamma(a1-b1)) int_{2 sqrt(x)}^inf (1 - 4x/u^2)^(a1-b1-1) f(u) du / u
+    with lam = b2 + b3 - 2 b1 - 1 and f(u) = u^(lam+1) K_{b2-b3}(u). ln f is concave in
+    ln u, peaks below u = lam + 1 and falls with slope below -1/2 past u = 2 (lam + 1),
+    so one quadrature in s = ln(u / 2 sqrt(x)), relative to the peak of f, ends e^40 below it.
     """
-    if not x > 0:
-        raise DomainError(f"meijer_g_1330 requires x > 0, got {x}")
-    sigma = _auto_shift(b, a1, x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"meijer_g_1330 requires finite x > 0, got {x}")
+    b1, b2, b3 = b
+    if not a1 > b1:
+        raise UnsupportedDomainError(f"meijer_g_1330 implemented for a1 > b1, got {a1} <= {b1}")
+    lam = b2 + b3 - 2.0 * b1 - 1.0
+    u0 = 2.0 * math.sqrt(x)
+    log_u0, log_end = math.log(u0), math.log(max(u0, 2.0 * lam + 2.0) + 80.0)
 
-    n = _MB_NODES
-    prev, _ = _mb_integral(b, a1, x, sigma, n)
-    while n < _MB_MAX_NODES:
-        n *= 2
-        cur, envelope = _mb_integral(b, a1, x, sigma, n)
-        # Floor the stopping test at the roundoff level of the oscillatory
-        # integrand so heavily cancelling (tiny) values can still converge.
-        tol = max(_MB_REL_TOL * max(abs(cur), abs(prev)), 32.0 * np.finfo(float).eps * envelope)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    achieved = abs(cur - prev) / max(abs(cur), 1e-300)
-    raise AccuracyError(
-        f"Mellin-Barnes contour did not converge (achieved rel error {achieved:.2e})",
-        partial=cur,
-        err_estimate=achieved,
-    )
+    def log_f(log_u):
+        return (lam + 1.0) * log_u - math.exp(log_u) + math.log(sp.kve(b2 - b3, math.exp(log_u)))
 
+    if not math.isfinite(log_f(log_u0) + log_f(log_end)):
+        raise UnsupportedDomainError(f"meijer_g_1330: K_{b2 - b3:g} is out of range at x={x:g}")
+    log_peak = log_u0
+    if lam + 1.0 > u0:
+        log_peak = optimize.minimize_scalar(lambda t: -log_f(t), method="bounded",
+                                            bounds=(log_u0, math.log(lam + 1.0))).x
+    ref = log_f(log_peak)
+
+    def integrand(s):
+        return math.exp(log_f(log_u0 + s) - ref) * (-math.expm1(-2.0 * s)) ** (a1 - b1 - 1.0)
+
+    total, _ = integrate.quad(integrand, 0.0, log_end - log_u0, epsabs=0.0, epsrel=1e-12)
+    log_scale = b1 * math.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
+    return math.exp(log_scale) * total

@@ -311,6 +311,19 @@ class TestDensities:
         assert dists[0] > dists[1] > dists[2]
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e300, math.inf])
+@pytest.mark.parametrize("alpha,beta,c", [(15.0, 10.0, 3.2233729130647513), (6.5, 6.0, 0.5)],
+                         ids=["default", "fig4"])
+def test_pdf_b_at_extreme_x_is_a_density_or_domain_error(alpha, beta, c, x):
+    t = channel.TurbulenceParams(alpha=alpha, beta=beta)
+    g = channel.PointingGeometry.from_exponent(c, 1.2, 0.1, 150.0)
+    try:
+        value = channel.pdf_b(x, t, g)
+    except DomainError:
+        return
+    assert 0.0 <= value < math.inf and math.copysign(1.0, value) == 1.0
+
+
 class TestLinkConfig:
     def test_db_conversion(self):
         assert channel.LinkConfig.db_to_linear(0.0) == 1.0

@@ -249,7 +249,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("value", [
         "0", "1e-300", "-1e-300", "1e-30", "1e30", "1e300", "-1e300", "5000", "-5000",
-        "1600", "3000", "-1600", "-3000",
+        "1600", "3000", "-1600", "-3000", "-3200",
     ])
     @pytest.mark.parametrize("key", [
         "turbulence.alpha", "turbulence.beta", "pointing.sigma_theta_mrad",
@@ -268,6 +268,17 @@ class TestMainEntry:
         if code != 0:
             assert code == 2
             assert err.startswith("error: line 7: ") and err.count("\n") == 1
+
+    def test_mc_stderr_past_float_range_is_a_row_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, (
+            "link.gamma_bar_db = 3000\nlink.n_elements = 4\n"
+            "sweep.metrics = outage,ber,capacity,moments\nmc.samples = 1000\nmc.workers = 1\n"
+        ))
+        assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+        rows = {r["metric"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["moments"]["mc_stderr"] is None
+        assert rows["moments"]["error"].startswith("mc: ")
+        assert all(rows[m]["mc_stderr"] is not None for m in ("outage", "ber", "capacity"))
 
     @pytest.mark.parametrize("args", [
         ["validate", "--config", "{missing}"],

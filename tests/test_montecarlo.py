@@ -132,6 +132,14 @@ class TestConfidenceInterval:
         lo, hi = montecarlo.confidence_interval(e, 0.95)
         assert lo == hi == 0.0
 
+    # (count, sum, sum of squares): the square of the mean overflows, or
+    # the sum of squares already has.
+    @pytest.mark.parametrize("stats", [(2, 2e300, math.inf), (2, 2.0, math.inf)])
+    def test_stderr_past_float_range_is_a_domain_error(self, stats):
+        e = montecarlo.McEstimate("moment", "", 0, {0: stats})
+        with pytest.raises(DomainError):
+            e.stderr
+
     def test_validation(self, turb, geo, cfg):
         e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 1_000, seed=5)
         with pytest.raises(DomainError):

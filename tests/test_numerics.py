@@ -89,3 +89,29 @@ class TestMeijerG1330:
         with pytest.raises(DomainError):
             numerics.meijer_g_1330(3.2, (1.3, 4.7, 2.2), 0.0)
 
+
+class TestMeijerG1330Reference:
+    # (a1, b) of the per-element density G^{3,0}_{1,3}(. | c ; c-1, alpha-1, beta-1)
+    # on the default (alpha 15, beta 10), closed-form (alpha 6.5, beta 6)
+    # and fig4 (alpha 6.5, beta 6, c = 0.5) channels.
+    CHANNELS = {
+        "default": (C_DEFAULT, (C_DEFAULT - 1.0, 14.0, 9.0)),
+        "closed-form": (C_DEFAULT, (C_DEFAULT - 1.0, 5.5, 5.0)),
+        "fig4": (0.5, (-0.5, 5.5, 5.0)),
+    }
+
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_matches_mpmath(self, channel):
+        import mpmath
+
+        a1, b = self.CHANNELS[channel]
+        with mpmath.workdps(30):
+            for x in np.geomspace(1e-8, 3e4, 25):
+                expected = float(mpmath.meijerg([[], [a1]], [list(b), []], x))
+                got = numerics.meijer_g_1330(a1, b, x)
+                assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a1", [2.2, 1.3])
+    def test_a1_not_above_b1_rejected(self, a1):
+        with pytest.raises(UnsupportedDomainError):
+            numerics.meijer_g_1330(a1, (2.2, 4.7, 1.3), 1.0)
