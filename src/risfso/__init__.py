@@ -36,7 +36,6 @@ from .analytic import (
     moments,
     oracle_metric,
     outage_probability,
-    track_clamps,
 )
 from .montecarlo import (
     McEstimate,

@@ -12,8 +12,6 @@ capacity closed forms are its direct consequences.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,7 +40,6 @@ __all__ = [
     "METRIC_KINDS",
     "metric_value",
     "oracle_metric",
-    "track_clamps",
 ]
 
 # Two-exponential fit of log2(1 + x), valid up to roughly x ~ 1e3.
@@ -66,34 +63,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _ORACLE_ABS_TOL = 1e-14
 _ORACLE_REL_TOL = 1e-10
 _ORACLE_LIMIT = 400
-
-_clamp_events: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
-    "clamp_events", default=None
-)
-
-
-@contextlib.contextmanager
-def track_clamps():
-    """Context manager collecting range-clamp events from this module.
-
-    Yields a list that receives one entry per clamped evaluation.
-    """
-    events: list = []
-    token = _clamp_events.set(events)
-    try:
-        yield events
-    finally:
-        _clamp_events.reset(token)
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    if lo <= value <= hi:
-        return value
-    events = _clamp_events.get()
-    if events is not None:
-        events.append(value)
-    return min(max(value, lo), hi)
-
 
 @dataclass(frozen=True)
 class MomentSummary:
@@ -124,13 +93,10 @@ def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> Moment
     if n_elements < 1:
         raise DomainError("n_elements must be >= 1")
     a, b, c, a0 = t.alpha, t.beta, g.c, g.a0
-    try:
-        m1 = c * a0 ** 2 / (c + 2.0) * _gamma_ratio(a, 2) * _gamma_ratio(b, 2)
-        second = c * a0 ** 4 / (c + 4.0) * _gamma_ratio(a, 4) * _gamma_ratio(b, 4)
-        delta1_sq = second - m1 * m1
-        m, delta_sq = n_elements * m1, n_elements * delta1_sq
-    except OverflowError:
-        m = delta_sq = math.nan
+    m1 = c * a0 ** 2 / (c + 2.0) * _gamma_ratio(a, 2) * _gamma_ratio(b, 2)
+    second = c * a0 ** 4 / (c + 4.0) * _gamma_ratio(a, 4) * _gamma_ratio(b, 4)
+    delta1_sq = second - m1 * m1
+    m, delta_sq = n_elements * m1, n_elements * delta1_sq
     # The CLT model needs a positive mean and variance.
     if not (0.0 < m < math.inf and 0.0 < delta_sq < math.inf):
         raise DomainError(
@@ -156,15 +122,19 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
     u = s * gamma_bar * d / math.sqrt(2.0) - m / (math.sqrt(2.0) * d)
     if u >= 0:
         # erfc(u) e^{A} = erfcx(u) e^{A - u^2}, and A - u^2 = -m^2/(2 d^2)
-        return 0.5 * float(sp.erfcx(u)) * math.exp(-m * m / (2.0 * d * d))
-    try:
-        a_exp = 0.5 * s * s * gamma_bar ** 2 * d * d - s * gamma_bar * m
-    except OverflowError:
-        # gamma_bar^2 alone overflows, but s g d < m / d here, so the
-        # exponent is finite (and not positive).
-        x = s * gamma_bar * d
-        a_exp = x * (0.5 * x - m / d)
-    return 0.5 * math.erfc(u) * math.exp(a_exp)
+        val = 0.5 * float(sp.erfcx(u)) * math.exp(-m * m / (2.0 * d * d))
+    else:
+        try:
+            a_exp = 0.5 * s * s * gamma_bar ** 2 * d * d - s * gamma_bar * m
+        except OverflowError:
+            # gamma_bar^2 alone overflows, but s g d < m / d here, so the
+            # exponent is finite (and not positive).
+            x = s * gamma_bar * d
+            a_exp = x * (0.5 * x - m / d)
+        val = 0.5 * math.erfc(u) * math.exp(a_exp)
+    if not math.isfinite(val):
+        raise DomainError(f"MGF at s = {s:g}, gamma_bar = {gamma_bar:g} is past the float range")
+    return val
 
 
 def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
@@ -211,12 +181,10 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
         # Phi(a + h) and Phi(a) share their leading digits here, so their
         # difference would cancel; integrate the density over [a, a + h].
         x = a + 0.5 * h * (1.0 + _GL_NODES)
-        val = 0.5 * h * float(np.dot(_GL_WEIGHTS, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
-    else:
-        # A difference of normal CDFs keeps relative accuracy when both
-        # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
-        val = float(sp.ndtr((gamma_th - m * gamma_bar) / (gamma_bar * d)) - sp.ndtr(a))
-    return _clamp(val, 0.0, 1.0)
+        return 0.5 * h * float(np.dot(_GL_WEIGHTS, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
+    # A difference of normal CDFs keeps relative accuracy when both
+    # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
+    return float(sp.ndtr((gamma_th - m * gamma_bar) / (gamma_bar * d)) - sp.ndtr(a))
 
 
 @dataclass(frozen=True)
@@ -255,14 +223,14 @@ def asymptotic_profile(
         raise DegenerateParametersError(
             f"leading exponent {b[i_star]} gives no positive diversity order"
         )
-    # epsilon = prod_{j != i*} Gamma(b_j - varrho) / Gamma(c - varrho); the
-    # last Gamma has no fixed sign, and a non-positive epsilon is unusable.
-    denominator = g.c - b[i_star]
+    # epsilon = prod_{j != i*} Gamma(b_j - varrho) / Gamma(c - varrho). Every
+    # argument is positive (c - varrho >= 1), so epsilon > 0; only its
+    # logarithm can leave the float range.
     log_eps = float(
         sum(sp.gammaln(b[j] - b[i_star]) for j in range(3) if j != i_star)
-        - sp.gammaln(denominator)
+        - sp.gammaln(g.c - b[i_star])
     )
-    if not (sp.gammasgn(denominator) > 0 and math.isfinite(log_eps)):
+    if not math.isfinite(log_eps):
         raise DegenerateParametersError(
             "asymptotic coefficient is not a positive finite number; expansion not usable"
         )
@@ -297,9 +265,7 @@ def asymptotic_outage(
         - math.lgamma(d)
         - math.log(d)
     )
-    if log_p > 0.0:
-        return _clamp(math.exp(min(log_p, 700.0)), 0.0, 1.0)
-    return math.exp(log_p)
+    return math.exp(min(log_p, 0.0))
 
 
 def average_ber(psi: float, ms: MomentSummary, gamma_bar: float) -> float:
@@ -310,10 +276,7 @@ def average_ber(psi: float, ms: MomentSummary, gamma_bar: float) -> float:
     """
     if not psi > 0:
         raise DomainError("psi must be positive")
-    val = sum(
-        w * mgf(r * psi, ms, gamma_bar) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)
-    )
-    return _clamp(val, 0.0, 0.5)
+    return sum(w * mgf(r * psi, ms, gamma_bar) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES))
 
 
 def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
@@ -325,8 +288,7 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
             UserWarning,
             stacklevel=2,
         )
-    val = sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
-    return max(val, 0.0)
+    return sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
 
 
 # The metrics that are the mean of a per-realization value of the SNR.

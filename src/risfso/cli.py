@@ -476,19 +476,19 @@ def run_sweep(spec: SweepSpec) -> Table:
                         metric=f"{metric}@{variant.label}" if variant.label else metric,
                         seed=spec.seed if spec.include_mc else None,
                     )
-                    with analytic.track_clamps() as clamps:
-                        try:
-                            row.analytic = closed_form(ms, gb, spec)
-                        except RisFsoError as exc:
-                            row.error = str(exc)
-                        if metric == "outage" and spec.include_asymptotic:
-                            if profile is not None:
-                                row.asymptotic = analytic.asymptotic_outage(
-                                    spec.gamma_th, profile, t, g, gb
-                                )
-                            else:
-                                row.error = profile_error
-                    row.clamp_events = len(clamps)
+                    try:
+                        row.analytic = closed_form(ms, gb, spec)
+                    except RisFsoError as exc:
+                        row.error = str(exc)
+                    if metric == "outage" and spec.include_asymptotic:
+                        if profile is not None:
+                            row.asymptotic = analytic.asymptotic_outage(
+                                spec.gamma_th, profile, t, g, gb
+                            )
+                        else:
+                            row.error = profile_error
+                    # The asymptote is the one closed form capped at its range.
+                    row.clamp_events = int(row.asymptotic == 1.0)
                     if spec.include_oracle and kind is not None:
                         try:
                             row.oracle, _ = analytic.oracle_metric(
@@ -497,10 +497,9 @@ def run_sweep(spec: SweepSpec) -> Table:
                             row.error = row.error or f"oracle: {exc}"
                     est = estimates.get(kind, {}).get(gb)
                     if est is not None:
-                        row.mc_mean = est.mean
                         row.n_samples = est.n_samples
                         try:
-                            row.mc_stderr = est.stderr
+                            row.mc_mean, row.mc_stderr = est.mean, est.stderr
                         except RisFsoError as exc:
                             row.error = row.error or f"mc: {exc}"
                     rows.append(row)

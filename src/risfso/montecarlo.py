@@ -76,7 +76,13 @@ class McEstimate:
         n = self.n_samples
         if n < 1:
             raise DomainError("estimate is empty")
-        return self.sum / n
+        try:
+            total = self.sum
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise DomainError("the sample sum is past the float range")
+        return total / n
 
     @property
     def stderr(self) -> float:
@@ -181,11 +187,14 @@ def estimate_grid(
         block_id, count = item
         z, _ = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
         out = {}
-        for kind in metric_kinds:
-            for gb in fingerprints:
-                vals = analytic.metric_value(kind, gb * z, gamma_th=base_cfg.gamma_th,
-                                             psi=base_cfg.psi)
-                out[kind, gb] = (count, float(np.sum(vals)), float(np.sum(vals * vals)))
+        # A sum past the float range is inf, reported by McEstimate.mean and
+        # .stderr. The error state is per thread, so it is set here.
+        with np.errstate(over="ignore"):
+            for kind in metric_kinds:
+                for gb in fingerprints:
+                    vals = analytic.metric_value(kind, gb * z, gamma_th=base_cfg.gamma_th,
+                                                 psi=base_cfg.psi)
+                    out[kind, gb] = (count, float(np.sum(vals)), float(np.sum(vals * vals)))
         return block_id, out
 
     plan = _block_plan(n_samples, first_stream)

@@ -39,6 +39,11 @@ def ms(turb, geo):
     return analytic.moments(turb, geo, 128)
 
 
+def summary(m, delta_sq):
+    """A one-element moment summary with the given aggregate mean and variance."""
+    return analytic.MomentSummary(m1=m, delta1_sq=delta_sq, n_elements=1, m=m, delta_sq=delta_sq)
+
+
 class TestMoments:
     def test_first_moment_closed_form(self, turb, geo):
         ms = analytic.moments(turb, geo, 1)
@@ -273,6 +278,14 @@ class TestAsymptotics:
         with pytest.raises(DegenerateParametersError):
             analytic.asymptotic_profile(turb, geo, 1)
 
+    def test_coefficient_past_float_range_rejected(self):
+        # gammaln of the gap alpha - 1 - varrho is inf at alpha = 1e306.
+        geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+        with pytest.raises(DegenerateParametersError):
+            analytic.asymptotic_profile(channel.TurbulenceParams(1e306, BETA), geo, 1)
+        prof = analytic.asymptotic_profile(channel.TurbulenceParams(1e300, BETA), geo, 1)
+        assert prof.log_epsilon == pytest.approx(6.9e302, rel=1e-3)
+
     def test_log_slope_per_decibel(self):
         turb = channel.TurbulenceParams(alpha=6.5, beta=6.0)
         geo = channel.PointingGeometry.from_exponent(
@@ -340,6 +353,15 @@ class TestAverageBer:
         with pytest.raises(DomainError):
             analytic.average_ber(0.0, ms, 1.0)
 
+    @pytest.mark.parametrize("m, delta_sq, gbar, psi", [
+        (8.942799853405746e155, 1.7641828302060737e308, 2.31126515605057e-145, 546.1303289019525),
+        (1.8337409344613132e-156, 1.525104e-317, 4.5786185462628184e153, 187.19699791718858),
+    ], ids=["nan-terms", "inf-terms"])
+    def test_mgf_past_float_range_raises(self, m, delta_sq, gbar, psi):
+        # The MGF terms are nan or inf here; no BER is returned for them.
+        with pytest.raises(DomainError):
+            analytic.average_ber(psi, summary(m, delta_sq), gbar)
+
 
 class TestChannelCapacity:
     def test_is_fit_combination_of_mgf(self, ms):
@@ -360,32 +382,19 @@ class TestChannelCapacity:
         with pytest.warns(UserWarning):
             analytic.channel_capacity(ms, gbar)
 
+    def test_mgf_past_float_range_raises(self):
+        ms = summary(8.942799853405746e155, 1.7641828302060737e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(DomainError):
+                analytic.channel_capacity(ms, 2.31126515605057e-145)
+
     def test_tracks_quadrature_in_window(self, ms):
         # Mid-window accuracy of the two-exponential log fit.
         gbar = 100.0 / ms.m
         got = analytic.channel_capacity(ms, gbar)
         oracle, _ = analytic.oracle_metric("capacity", ms, gbar)
         assert got == pytest.approx(oracle, rel=0.05)
-
-
-class TestClampTracking:
-    def test_records_out_of_range_values(self, ms):
-        with analytic.track_clamps() as events:
-            analytic.outage_probability(1.0, ms, 1.0)
-            analytic.average_ber(1.0, ms, 1.0)
-        # Nothing clamps at sane parameters.
-        assert events == []
-
-    def test_clamp_event_captured(self):
-        with analytic.track_clamps() as events:
-            assert analytic._clamp(1.5, 0.0, 1.0) == 1.0
-            assert analytic._clamp(-0.25, 0.0, 1.0) == 0.0
-            assert analytic._clamp(0.5, 0.0, 1.0) == 0.5
-        assert events == [1.5, -0.25]
-
-    def test_no_tracking_outside_context(self):
-        # Clamping still happens without an active tracker.
-        assert analytic._clamp(2.0, 0.0, 1.0) == 1.0
 
 
 class TestOracleMetric:

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,14 @@ class TestValidateConfig:
         assert spec.variants[0].pointing.c == pytest.approx(0.5, rel=1e-12)
 
 
+    def test_readme_config_block_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        values, lines = cli._parse(block.splitlines())
+        assert set(lines) == set(cli._KEYS) - {"pointing.exponent_c"}
+        assert values == cli.DEFAULTS
+
+
 class TestFigurePresets:
     def test_capacity_preset_element_counts(self):
         spec = cli.figure_preset("fig2")
@@ -166,6 +176,12 @@ class TestRunSweepAndEmit:
         assert doc["config"]["metrics"] == ["outage", "ber"]
         assert len(doc["rows"]) == len(table.rows)
         assert doc["rows"][0]["clamp_events"] == 0
+
+    def test_clamp_events_mark_the_capped_asymptote(self):
+        spec = dataclasses.replace(cli.figure_preset("fig4"), include_mc=False)
+        rows = cli.run_sweep(spec).rows
+        assert all(r.clamp_events == int(r.asymptotic == 1.0) for r in rows)
+        assert {r.clamp_events for r in rows} == {0, 1}
 
     def test_unknown_format_rejected(self, table):
         with pytest.raises(DomainError):
@@ -279,6 +295,29 @@ class TestMainEntry:
         assert rows["moments"]["mc_stderr"] is None
         assert rows["moments"]["error"].startswith("mc: ")
         assert all(rows[m]["mc_stderr"] is not None for m in ("outage", "ber", "capacity"))
+
+    @pytest.mark.parametrize("db, metrics, samples", [
+        (3075, "moments", 12288),
+        (3080, "outage,ber,capacity,moments", 10000),
+    ])
+    def test_mc_mean_past_float_range_is_a_row_error(self, tmp_path, capsys, db, metrics,
+                                                     samples):
+        path = write_config(tmp_path, (
+            f"link.gamma_bar_db = {db}\nlink.n_elements = 4\nsweep.metrics = {metrics}\n"
+            f"mc.samples = {samples}\nmc.workers = 1\n"
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and caught == []
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = {r["metric"]: r for r in json.loads(out, parse_constant=reject)["rows"]}
+        assert rows["moments"]["error"].startswith("mc: ")
+        assert rows["moments"]["mc_mean"] is None and rows["moments"]["mc_stderr"] is None
 
     @pytest.mark.parametrize("args", [
         ["validate", "--config", "{missing}"],
