@@ -324,7 +324,25 @@ def metric_value(
         return x ** n
     if kind == "mgf":
         return np.exp(-s * x)
-    raise DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
+    raise _unknown_kind(kind)
+
+
+# metric_value on one Python float, for the oracle's quadrature, which calls its
+# integrand one point at a time: a numpy ufunc on a scalar costs more than the
+# rest of the step. Same kinds, order and expressions as metric_value, with math
+# in place of numpy (outage is a range integral there).
+_FLOAT_FORMS = {
+    "ber_exactQ": lambda x, psi, n, s: 0.5 * math.erfc(math.sqrt(psi * x)),
+    "ber_chiani": lambda x, psi, n, s: sum(
+        w * math.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)),
+    "capacity": lambda x, psi, n, s: math.log2(1.0 + x),
+    "moment": lambda x, psi, n, s: x ** n,
+    "mgf": lambda x, psi, n, s: math.exp(-s * x),
+}
+
+
+def _unknown_kind(kind: str) -> DomainError:
+    return DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
 
 
 def oracle_metric(
@@ -339,9 +357,10 @@ def oracle_metric(
 ) -> Tuple[float, float]:
     """Independent quadrature of a metric's defining integral.
 
-    Integrates metric_value against the Gaussian aggregate-SNR density on
-    [0, inf), outage as the density over [0, gamma_th]; the closed forms
-    above must agree with this to quadrature accuracy.
+    Integrates the float form of metric_value against the Gaussian
+    aggregate-SNR density on [0, inf), outage as the density over
+    [0, gamma_th]; the closed forms above must agree with this to
+    quadrature accuracy.
     """
     if not gamma_bar > 0:
         raise DomainError("gamma_bar must be positive")
@@ -374,8 +393,12 @@ def oracle_metric(
         )
         return float(val), float(err)
 
-    def integrand(x):
-        return metric_value(kind, x, psi=psi, n=n, s=s) * density(x)
+    if kind not in _FLOAT_FORMS:
+        raise _unknown_kind(kind)
+    form = _FLOAT_FORMS[kind]
+
+    def integrand(x: float) -> float:
+        return form(x, psi, n, s) * density(x)
 
     # Split at the density mode so the adaptive rule sees the mass.
     cut = max(mu + 12.0 * sd, 16.0 * sd)

@@ -24,6 +24,31 @@ __all__ = ["parabolic_cylinder_d", "meijer_g_1330"]
 PCD_V_RANGE = (-12.0, 0.0)
 PCD_Z_RANGE = (-40.0, 40.0)
 
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+
+
+def _pcd_recurrence(k: int, z: float) -> float:
+    """D_{-k}(z) for integer k >= 0 and z <= 0.
+
+    Starts from D_0 = e^(-z^2/4) and D_{-1} = sqrt(pi/2) e^(z^2/4) erfc(z/sqrt 2)
+    (DLMF 12.7(ii)) and steps D_{-j-1} = (D_{-j+1} - z D_{-j}) / j (DLMF 12.8(i)).
+    Every term is positive for z <= 0, so nothing cancels. z^2 is split into its
+    rounded value and the rounding error (Dekker), since the rounding alone moves
+    e^(z^2/4) by up to 3e-14 at |z| = 40.
+    """
+    c = 134217729.0 * z  # 2^27 + 1
+    hi = c - (c - z)
+    lo = z - hi
+    sq = z * z
+    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # z^2 = sq + sq_lo exactly
+    d_next = math.exp(-0.25 * sq) * (1.0 - 0.25 * sq_lo)
+    if k == 0:
+        return d_next
+    d = _SQRT_HALF_PI * math.exp(0.25 * sq) * (1.0 + 0.25 * sq_lo) * math.erfc(z / math.sqrt(2.0))
+    for j in range(1, k):
+        d_next, d = d, (d_next - z * d) / j
+    return d
+
 
 def _pcd_integral_log(v: float, z: float) -> float:
     """log of I = int_0^inf t^(-v-1) exp(-t^2/2 - z t) dt for v < 0.
@@ -67,8 +92,9 @@ def _pcd_integral_log(v: float, z: float) -> float:
 def parabolic_cylinder_d(v: float, z: float) -> float:
     """Parabolic cylinder function D_v(z) on v in [-12, 0], z in [-40, 40].
 
-    For v < 0 it is computed from the standard integral representation
-    with adaptive quadrature; v = 0 reduces to exp(-z^2/4).
+    For integer v and z <= 0 it is computed by the recurrence in v; elsewhere,
+    where that recurrence would cancel, from the standard integral
+    representation with adaptive quadrature (v = 0 reduces to exp(-z^2/4)).
     """
     if not (PCD_V_RANGE[0] <= v <= PCD_V_RANGE[1]) or not (
         PCD_Z_RANGE[0] <= z <= PCD_Z_RANGE[1]
@@ -77,6 +103,8 @@ def parabolic_cylinder_d(v: float, z: float) -> float:
             f"parabolic_cylinder_d implemented for v in {PCD_V_RANGE}, "
             f"z in {PCD_Z_RANGE}; got v={v}, z={z}"
         )
+    if z <= 0.0 and v == math.floor(v):
+        return _pcd_recurrence(int(-v), z)
     if v == 0.0:
         return math.exp(-0.25 * z * z)
     log_i = _pcd_integral_log(v, z)

@@ -6,6 +6,7 @@ and monotonicity laws that hold exactly.
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -430,3 +431,36 @@ class TestOracleMetric:
             approx, _ = analytic.oracle_metric("ber_chiani", ms, gbar)
             assert 0.0 < exact <= 0.5 + 1e-12
             assert 0.0 < approx <= 0.5 + 1e-12
+
+
+class TestOracleFloatForms:
+    # 0, the smallest subnormal, then 1e-12 ... 1e300.
+    X = np.concatenate(([0.0, 5e-324], np.geomspace(1e-12, 1e300, 313)))
+    PARAMS = [(1.0, 1, 1.0), (187.2, 3, 4.0 / 3.0), (0.05, 7, 1e-3)]  # (psi, n, s)
+
+    def test_every_kind_but_outage_has_a_float_form(self):
+        assert set(analytic._FLOAT_FORMS) == set(analytic.METRIC_KINDS) - {"outage"}
+
+    @pytest.mark.parametrize("kind", sorted(analytic._FLOAT_FORMS))
+    def test_matches_metric_value(self, kind):
+        # scipy's erfc is up to 6e-14 off in the deep tail, where math.erfc
+        # is not, and flushes to 0 the subnormal values math.erfc keeps.
+        rel = 1e-13 if kind == "ber_exactQ" else 1e-15
+        form = analytic._FLOAT_FORMS[kind]
+        for psi, n, s in self.PARAMS:
+            x = self.X[self.X <= 1e300 ** (1.0 / n)] if kind == "moment" else self.X
+            expected = analytic.metric_value(kind, x, psi=psi, n=n, s=s)
+            got = [form(float(xi), psi, n, s) for xi in x]
+            np.testing.assert_allclose(got, expected, rtol=rel, atol=sys.float_info.min)
+
+    def test_exactq_matches_mpmath(self):
+        # The reference erfc takes the same rounded sqrt(psi x) as the form:
+        # erfc's condition number 2u^2 would turn the half-ulp rounding of u
+        # alone into up to 1.5e-13 at u = 26.
+        form = analytic._FLOAT_FORMS["ber_exactQ"]
+        with mpmath.workdps(40):
+            for psi in (1.0, 187.2):
+                for x in self.X:
+                    expected = 0.5 * mpmath.erfc(math.sqrt(psi * x))
+                    if expected >= sys.float_info.min:
+                        assert abs(form(float(x), psi, 1, 0.0) / expected - 1) <= 1e-15, x

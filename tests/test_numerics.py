@@ -47,6 +47,37 @@ class TestParabolicCylinderD:
             numerics.parabolic_cylinder_d(v, z)
 
 
+class TestParabolicCylinderRecurrence:
+    # Integer orders v = -n-1 at z <= 0, the inputs of the generalized
+    # moments (z = -m/delta); random z have squares that round.
+    Z = np.concatenate((
+        [0.0, -0.0, -1e-8, -31.0, -40.0],
+        np.linspace(-40.0, 0.0, 41),
+        np.random.default_rng(7).uniform(-40.0, 0.0, 80),
+    ))
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_matches_mpmath(self, n):
+        import mpmath
+
+        with mpmath.workdps(40):
+            for z in self.Z:
+                expected = mpmath.pcfd(-n - 1, mpmath.mpf(float(z)))
+                got = numerics.parabolic_cylinder_d(-n - 1.0, float(z))
+                assert abs(got / expected - 1) <= 1e-14, z
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_meets_quadrature_past_zero(self, n):
+        # The recurrence ends at z = 0 and the integral takes over above it:
+        # D_v(h) = D_v(0) - h D_{v+1}(0) + O(h^2), since D_v' = (z/2) D_v - D_{v+1}.
+        v, h = -n - 1.0, 1e-9
+        at_zero = numerics.parabolic_cylinder_d(v, 0.0)
+        slope = -numerics.parabolic_cylinder_d(v + 1.0, 0.0)
+        assert numerics.parabolic_cylinder_d(v, h) == pytest.approx(
+            at_zero + h * slope, rel=1e-12
+        )
+
+
 # Default channel parameters: alpha=15, beta=10, and the pointing
 # exponent/gain implied by 1 mrad / 0.5 mrad jitter over 150 m + 150 m
 # with a 1.2 m beam and 10 cm aperture.
