@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
-from scipy import special as sp
+from scipy import special as sp  # integrate loads in oracle_metric; default sweeps never integrate
 
 from .channel import PointingGeometry, TurbulenceParams
 from .errors import DegenerateParametersError, DomainError
@@ -362,6 +361,8 @@ def oracle_metric(
     [0, gamma_th]; the closed forms above must agree with this to
     quadrature accuracy.
     """
+    from scipy import integrate
+
     if not gamma_bar > 0:
         raise DomainError("gamma_bar must be positive")
     mu = gamma_bar * ms.m
@@ -395,6 +396,10 @@ def oracle_metric(
 
     if kind not in _FLOAT_FORMS:
         raise _unknown_kind(kind)
+    if kind in ("ber_exactQ", "ber_chiani") and not psi > 0:
+        raise DomainError("psi must be positive")
+    if kind == "mgf" and s < 0:
+        raise DomainError("mgf requires s >= 0")
     form = _FLOAT_FORMS[kind]
 
     def integrand(x: float) -> float:

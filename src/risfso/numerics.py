@@ -12,8 +12,7 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy import special as sp
+from scipy import special as sp  # integrate/optimize load on first use; default sweeps never integrate
 
 from .errors import AccuracyError, DomainError, UnsupportedDomainError
 
@@ -56,6 +55,8 @@ def _pcd_integral_log(v: float, z: float) -> float:
     The integrand can overflow for z << 0, so it is evaluated relative
     to its maximum and rescaled in log space.
     """
+    from scipy import integrate
+
     p = -v - 1.0  # power of t; > -1 (integrable) on the implemented domain
 
     def log_f(t):
@@ -121,6 +122,8 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x: float) -> float:
     ln u, peaks below u = lam + 1 and falls with slope below -1/2 past u = 2 (lam + 1),
     so one quadrature in s = ln(u / 2 sqrt(x)), relative to the peak of f, ends e^40 below it.
     """
+    from scipy import integrate, optimize
+
     if not 0.0 < x < math.inf:
         raise DomainError(f"meijer_g_1330 requires finite x > 0, got {x}")
     b1, b2, b3 = b

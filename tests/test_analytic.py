@@ -418,6 +418,18 @@ class TestOracleMetric:
         with pytest.raises(DomainError):
             analytic.oracle_metric("capacity", ms, gbar)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("ber_exactQ", {"psi": 0.0}, "psi must be positive"),
+        ("ber_exactQ", {"psi": -1.0}, "psi must be positive"),
+        ("ber_chiani", {"psi": 0.0}, "psi must be positive"),
+        ("ber_chiani", {"psi": -1.0}, "psi must be positive"),
+        ("mgf", {"s": -1.0}, "mgf requires s >= 0"),
+    ])
+    def test_rejects_what_the_closed_form_rejects(self, ms, kind, params, message):
+        # Same domain and message as average_ber and mgf.
+        with pytest.raises(DomainError, match=message):
+            analytic.oracle_metric(kind, ms, 1.0, **params)
+
     def test_exactq_oracle_limits(self, ms):
         # At vanishing SNR the exact-Q average approaches Q(0) = 1/2
         # while the two-exponential form approaches 1/3; both stay in

@@ -4,12 +4,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from risfso import channel, cli
+from risfso import analytic, channel, cli
 from risfso.errors import ConfigError, DomainError
 
 
@@ -390,3 +393,39 @@ class TestMainEntry:
         # Asymptote column filled for the outage sweep.
         filled = [r for r in doc["rows"] if r["asymptotic"] is not None]
         assert filled and all(r["metric"] == "outage" for r in filled)
+
+
+# Run in a fresh interpreter, so sys.modules holds only what risfso loads.
+FRESH_PROCESS = """
+import json, sys
+from risfso import analytic, cli
+quadrature = ("scipy.integrate", "scipy.optimize")
+spec = cli.validate_config(sys.argv[1])
+table = cli.run_sweep(spec)
+cli.emit(table, "csv")
+cli.emit(table, "json")
+before = [m for m in quadrature if m in sys.modules]
+v = spec.variants[0]
+value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
+after = [m for m in quadrature if m in sys.modules]
+print(json.dumps({"before": before, "after": after, "value": value}))
+"""
+
+
+def test_quadrature_stack_loads_only_when_a_run_integrates(tmp_path):
+    # Validation, closed forms and Monte Carlo never integrate, so a fresh
+    # process that only runs them does not pay for importing scipy's
+    # quadrature and optimizer packages.
+    path = write_config(tmp_path, "link.gamma_bar_db = 0,10\nlink.n_elements = 4\n"
+                        "sweep.metrics = outage,ber,capacity\nmc.samples = 1000\n"
+                        "mc.workers = 1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, path], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["before"] == []
+    assert got["after"] == ["scipy.integrate", "scipy.optimize"]
+    v = cli.validate_config(path).variants[0]
+    want, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
+    assert got["value"] == want
