@@ -3,7 +3,6 @@ by a reconfigurable reflecting surface, under Gamma-Gamma turbulence and
 pointing-error fading."""
 
 from .errors import (
-    AccuracyError,
     ConfigError,
     DegenerateParametersError,
     DomainError,

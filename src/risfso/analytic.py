@@ -137,7 +137,7 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
 
 
 def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
-    """E[gamma^n] via the parabolic-cylinder closed form."""
+    """E[gamma^n] for integer n >= 0 via the parabolic-cylinder closed form."""
     if n < 0:
         raise DomainError("moment order must be >= 0")
     m, d = ms.m, ms.delta
@@ -373,14 +373,15 @@ def oracle_metric(
         two_var = math.inf
     if not 0.0 < two_var < math.inf:
         raise DomainError(f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
-    norm = math.sqrt(2.0 * math.pi * ms.delta_sq) * gamma_bar
+    norm = math.sqrt(2.0 * math.pi) * sd
 
     # The Gaussian density on one float: quad calls it once per point, and
-    # a 0-d numpy array costs more than the rest of the step. dx * dx
-    # overflows to inf where dx ** 2 would raise.
+    # a 0-d numpy array costs more than the rest of the step. It uses sd,
+    # not two_var, which is subnormal far below 0 dB and keeps only a few
+    # digits there; t * t overflows to inf where t ** 2 would raise.
     def density(x: float) -> float:
-        dx = x - mu
-        return math.exp(-(dx * dx) / two_var) / norm
+        t = (x - mu) / sd
+        return math.exp(-0.5 * t * t) / norm
 
     if kind == "outage":
         if gamma_th is None:
@@ -400,6 +401,8 @@ def oracle_metric(
         raise DomainError("psi must be positive")
     if kind == "mgf" and s < 0:
         raise DomainError("mgf requires s >= 0")
+    if kind == "moment" and n < 0:
+        raise DomainError("moment order must be >= 0")
     form = _FLOAT_FORMS[kind]
 
     def integrand(x: float) -> float:

@@ -17,19 +17,6 @@ class DegenerateParametersError(RisFsoError, ValueError):
     """A parameter combination makes the requested expression singular."""
 
 
-class AccuracyError(RisFsoError, RuntimeError):
-    """A numeric routine could not meet its accuracy target.
-
-    Carries the best available partial result and the achieved error
-    estimate so callers can decide whether to accept it anyway.
-    """
-
-    def __init__(self, message, partial=None, err_estimate=None):
-        super().__init__(message)
-        self.partial = partial
-        self.err_estimate = err_estimate
-
-
 class MergeError(RisFsoError, ValueError):
     """Two Monte Carlo accumulators are not compatible for merging."""
 

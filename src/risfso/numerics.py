@@ -1,8 +1,9 @@
-"""Special-function and quadrature kernel.
+"""Special-function kernel.
 
-Everything here is pure and reentrant. The Meijer G evaluator is one
-Bessel-K integral taken by adaptive quadrature rather than a residue
-series, so integer-coincident pole differences (which the default
+Everything here is pure and reentrant. The parabolic cylinder function is
+taken by a recurrence in its order, with no quadrature. The Meijer G
+evaluator is one Bessel-K integral taken by adaptive quadrature rather than
+a residue series, so integer-coincident pole differences (which the default
 turbulence parameters produce) need no case analysis.
 """
 
@@ -11,23 +12,22 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
-from scipy import special as sp  # integrate/optimize load on first use; default sweeps never integrate
+from scipy import special as sp  # integrate/optimize load in meijer_g_1330, the one integrator
 
-from .errors import AccuracyError, DomainError, UnsupportedDomainError
+from .errors import DomainError, UnsupportedDomainError
 
 __all__ = ["parabolic_cylinder_d", "meijer_g_1330"]
 
-# Implemented domain of parabolic_cylinder_d; wide enough for every
-# moment order the analytics need (v = -n-1, n <= 11).
+# Implemented domain of parabolic_cylinder_d: the integer orders v = -n-1
+# (n <= 11) and arguments z = -m/delta < 0 of the generalized moments.
 PCD_V_RANGE = (-12.0, 0.0)
-PCD_Z_RANGE = (-40.0, 40.0)
+PCD_Z_RANGE = (-40.0, 0.0)
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
-def _pcd_recurrence(k: int, z: float) -> float:
-    """D_{-k}(z) for integer k >= 0 and z <= 0.
+def parabolic_cylinder_d(v: float, z: float) -> float:
+    """Parabolic cylinder function D_v(z) for integer v in [-12, 0], z in [-40, 0].
 
     Starts from D_0 = e^(-z^2/4) and D_{-1} = sqrt(pi/2) e^(z^2/4) erfc(z/sqrt 2)
     (DLMF 12.7(ii)) and steps D_{-j-1} = (D_{-j+1} - z D_{-j}) / j (DLMF 12.8(i)).
@@ -35,81 +35,25 @@ def _pcd_recurrence(k: int, z: float) -> float:
     rounded value and the rounding error (Dekker), since the rounding alone moves
     e^(z^2/4) by up to 3e-14 at |z| = 40.
     """
+    # The range test comes first: math.floor raises on nan and +-inf.
+    if not (PCD_V_RANGE[0] <= v <= PCD_V_RANGE[1] and PCD_Z_RANGE[0] <= z <= PCD_Z_RANGE[1]
+            and v == math.floor(v)):
+        raise UnsupportedDomainError(
+            f"parabolic_cylinder_d implemented for integer v in {PCD_V_RANGE}, "
+            f"z in {PCD_Z_RANGE}; got v={v}, z={z}"
+        )
     c = 134217729.0 * z  # 2^27 + 1
     hi = c - (c - z)
     lo = z - hi
     sq = z * z
     sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # z^2 = sq + sq_lo exactly
     d_next = math.exp(-0.25 * sq) * (1.0 - 0.25 * sq_lo)
-    if k == 0:
+    if v == 0.0:
         return d_next
     d = _SQRT_HALF_PI * math.exp(0.25 * sq) * (1.0 + 0.25 * sq_lo) * math.erfc(z / math.sqrt(2.0))
-    for j in range(1, k):
+    for j in range(1, int(-v)):
         d_next, d = d, (d_next - z * d) / j
     return d
-
-
-def _pcd_integral_log(v: float, z: float) -> float:
-    """log of I = int_0^inf t^(-v-1) exp(-t^2/2 - z t) dt for v < 0.
-
-    The integrand can overflow for z << 0, so it is evaluated relative
-    to its maximum and rescaled in log space.
-    """
-    from scipy import integrate
-
-    p = -v - 1.0  # power of t; > -1 (integrable) on the implemented domain
-
-    def log_f(t):
-        return p * math.log(t) - 0.5 * t * t - z * t
-
-    # Reference point for log-space rescaling: the stationary point of
-    # log_f when one exists, otherwise the peak of the exponential part.
-    candidates = [1.0]
-    if z < 0:
-        candidates.append(-z)
-    disc = z * z + 4.0 * p
-    if disc > 0:
-        root = 0.5 * (-z + math.sqrt(disc))
-        if root > 0:
-            candidates.append(root)
-    t_star = max(candidates, key=log_f)
-    f_max = log_f(t_star)
-
-    def g(t):
-        if t <= 0.0:
-            return 0.0 if p > 0 else math.exp(-f_max)
-        return math.exp(log_f(t) - f_max)
-
-    upper = t_star + 40.0
-    pts = [t_star] if 0.0 < t_star < upper else None
-    val1, _ = integrate.quad(g, 0.0, upper, points=pts, limit=300, epsabs=1e-300, epsrel=1e-12)
-    val2, _ = integrate.quad(g, upper, np.inf, limit=100, epsabs=1e-300, epsrel=1e-12)
-    total = val1 + val2
-    if total <= 0:
-        raise AccuracyError("parabolic cylinder integral lost all precision", partial=0.0)
-    return f_max + math.log(total)
-
-
-def parabolic_cylinder_d(v: float, z: float) -> float:
-    """Parabolic cylinder function D_v(z) on v in [-12, 0], z in [-40, 40].
-
-    For integer v and z <= 0 it is computed by the recurrence in v; elsewhere,
-    where that recurrence would cancel, from the standard integral
-    representation with adaptive quadrature (v = 0 reduces to exp(-z^2/4)).
-    """
-    if not (PCD_V_RANGE[0] <= v <= PCD_V_RANGE[1]) or not (
-        PCD_Z_RANGE[0] <= z <= PCD_Z_RANGE[1]
-    ):
-        raise UnsupportedDomainError(
-            f"parabolic_cylinder_d implemented for v in {PCD_V_RANGE}, "
-            f"z in {PCD_Z_RANGE}; got v={v}, z={z}"
-        )
-    if z <= 0.0 and v == math.floor(v):
-        return _pcd_recurrence(int(-v), z)
-    if v == 0.0:
-        return math.exp(-0.25 * z * z)
-    log_i = _pcd_integral_log(v, z)
-    return math.exp(-0.25 * z * z - math.lgamma(-v) + log_i)
 
 
 def meijer_g_1330(a1: float, b: Tuple[float, float, float], x: float) -> float:

@@ -150,9 +150,11 @@ class TestGeneralizedMoment:
         oracle, err = analytic.oracle_metric("moment", ms, gbar, n=n)
         assert got == pytest.approx(oracle, rel=1e-8)
 
-    def test_rejects_negative_order(self, ms):
+    @pytest.mark.parametrize("n", [-1, 0.5])
+    def test_rejects_negative_order(self, ms, n):
+        # A fractional order is outside the integer orders D_v is taken at.
         with pytest.raises(DomainError):
-            analytic.generalized_moment(-1, ms, 1.0)
+            analytic.generalized_moment(n, ms, 1.0)
 
 
 class TestAmountOfFading:
@@ -424,11 +426,25 @@ class TestOracleMetric:
         ("ber_chiani", {"psi": 0.0}, "psi must be positive"),
         ("ber_chiani", {"psi": -1.0}, "psi must be positive"),
         ("mgf", {"s": -1.0}, "mgf requires s >= 0"),
+        ("moment", {"n": -1}, "moment order must be >= 0"),
+        ("moment", {"n": -2}, "moment order must be >= 0"),
     ])
     def test_rejects_what_the_closed_form_rejects(self, ms, kind, params, message):
-        # Same domain and message as average_ber and mgf.
+        # Same domain and message as average_ber, mgf and generalized_moment.
         with pytest.raises(DomainError, match=message):
             analytic.oracle_metric(kind, ms, 1.0, **params)
+
+    @pytest.mark.parametrize("n_elements", [1, 4])
+    def test_outage_at_subnormal_snr_variance(self, turb, n_elements):
+        # At -1560 dB on the default channel 2 gbar^2 delta^2 is subnormal
+        # (4.2e-320 at N = 1); the density is formed from gbar * delta instead.
+        geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+        ms = analytic.moments(turb, geo, n_elements)
+        gbar = 10.0 ** -156
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = analytic.oracle_metric("outage", ms, gbar, gamma_th=1.0)
+        assert abs(got - analytic.outage_probability(1.0, ms, gbar)) <= 1e-12
 
     def test_exactq_oracle_limits(self, ms):
         # At vanishing SNR the exact-Q average approaches Q(0) = 1/2

@@ -10,13 +10,13 @@ from risfso.errors import DomainError, UnsupportedDomainError
 
 class TestParabolicCylinderD:
     def test_order_zero_identity(self):
-        for z in (-3.0, -0.5, 0.0, 1.7, 8.0):
+        for z in (-3.0, -0.5, 0.0):
             assert numerics.parabolic_cylinder_d(0.0, z) == pytest.approx(
                 math.exp(-z * z / 4.0), rel=1e-12
             )
 
     def test_order_minus_one_identity(self):
-        for z in (-4.0, -1.0, 0.3, 2.5):
+        for z in (-4.0, -1.0):
             expected = (
                 math.exp(z * z / 4.0) * math.sqrt(math.pi / 2.0) * math.erfc(z / math.sqrt(2.0))
             )
@@ -31,17 +31,23 @@ class TestParabolicCylinderD:
     def test_contiguous_relation(self):
         # D_{v+1}(z) - z D_v(z) + v D_{v-1}(z) = 0
         rng = np.random.default_rng(99)
-        for _ in range(25):
-            v = rng.uniform(-10.0, -1.0)
-            z = rng.uniform(-10.0, 10.0)
-            d_up = numerics.parabolic_cylinder_d(v + 1.0, z)
-            d_mid = numerics.parabolic_cylinder_d(v, z)
-            d_dn = numerics.parabolic_cylinder_d(v - 1.0, z)
-            residual = d_up - z * d_mid + v * d_dn
-            scale = max(abs(d_up), abs(z * d_mid), abs(v * d_dn))
-            assert abs(residual) <= 1e-7 * scale
+        for v in range(-11, 0):
+            for z in (0.0, *rng.uniform(-10.0, 0.0, 4)):
+                d_up = numerics.parabolic_cylinder_d(v + 1.0, z)
+                d_mid = numerics.parabolic_cylinder_d(float(v), z)
+                d_dn = numerics.parabolic_cylinder_d(v - 1.0, z)
+                residual = d_up - z * d_mid + v * d_dn
+                scale = max(abs(d_up), abs(z * d_mid), abs(v * d_dn))
+                assert abs(residual) <= 1e-7 * scale
 
-    @pytest.mark.parametrize("v,z", [(0.5, 0.0), (-13.0, 0.0), (0.0, 41.0), (-2.0, -41.0)])
+    @pytest.mark.parametrize("v,z", [
+        (0.5, 0.0), (-13.0, 0.0), (0.0, 41.0), (-2.0, -41.0),
+        # Non-integer orders, and z > 0, where the recurrence would cancel.
+        (-1.5, -1.0), (-0.5, 0.0), (-1.0, 1e-9), (0.0, 1.7),
+        (0.0, 8.0), (-1.0, 0.3), (-1.0, 2.5),
+        # The range test sees these before math.floor, which raises on them.
+        (math.nan, -1.0), (-2.0, math.nan), (-math.inf, -1.0),
+    ])
     def test_outside_domain_rejected(self, v, z):
         with pytest.raises(UnsupportedDomainError):
             numerics.parabolic_cylinder_d(v, z)
@@ -65,17 +71,6 @@ class TestParabolicCylinderRecurrence:
                 expected = mpmath.pcfd(-n - 1, mpmath.mpf(float(z)))
                 got = numerics.parabolic_cylinder_d(-n - 1.0, float(z))
                 assert abs(got / expected - 1) <= 1e-14, z
-
-    @pytest.mark.parametrize("n", range(12))
-    def test_meets_quadrature_past_zero(self, n):
-        # The recurrence ends at z = 0 and the integral takes over above it:
-        # D_v(h) = D_v(0) - h D_{v+1}(0) + O(h^2), since D_v' = (z/2) D_v - D_{v+1}.
-        v, h = -n - 1.0, 1e-9
-        at_zero = numerics.parabolic_cylinder_d(v, 0.0)
-        slope = -numerics.parabolic_cylinder_d(v + 1.0, 0.0)
-        assert numerics.parabolic_cylinder_d(v, h) == pytest.approx(
-            at_zero + h * slope, rel=1e-12
-        )
 
 
 # Default channel parameters: alpha=15, beta=10, and the pointing
