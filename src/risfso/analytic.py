@@ -123,14 +123,10 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
         # erfc(u) e^{A} = erfcx(u) e^{A - u^2}, and A - u^2 = -m^2/(2 d^2)
         val = 0.5 * float(sp.erfcx(u)) * math.exp(-m * m / (2.0 * d * d))
     else:
-        try:
-            a_exp = 0.5 * s * s * gamma_bar ** 2 * d * d - s * gamma_bar * m
-        except OverflowError:
-            # gamma_bar^2 alone overflows, but s g d < m / d here, so the
-            # exponent is finite (and not positive).
-            x = s * gamma_bar * d
-            a_exp = x * (0.5 * x - m / d)
-        val = 0.5 * math.erfc(u) * math.exp(a_exp)
+        # The exponent s^2 g^2 d^2 / 2 - s g m, scale-free: x < m / d here,
+        # so it is not positive even where (s g d)^2 alone overflows.
+        x = s * gamma_bar * d
+        val = 0.5 * math.erfc(u) * math.exp(x * (0.5 * x - m / d))
     if not math.isfinite(val):
         raise DomainError(f"MGF at s = {s:g}, gamma_bar = {gamma_bar:g} is past the float range")
     return val

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, asdict
@@ -49,8 +48,6 @@ CSV_COLUMNS = (
     "n_samples",
     "seed",
 )
-
-WORKERS_ENV = "RISFSO_WORKERS"
 
 # Longest SNR grid a config may request. A start:stop:step grid is built
 # point by point, so without a cap a tiny step or a huge stop would hang;
@@ -204,7 +201,7 @@ _KEYS = {
     "sweep.include_mc": ("true", _flag),
     "mc.samples": ("100000", _integer(1)),
     "mc.seed": ("2024", _integer(0)),
-    "mc.workers": ("0", _integer(0)),  # 0 -> RISFSO_WORKERS or 1
+    "mc.workers": ("1", _integer(1)),
 }
 
 DEFAULTS = {key: None if text is None else parse(text) for key, (text, parse) in _KEYS.items()}
@@ -325,51 +322,56 @@ _PRESETS = {
 PRESET_IDS = tuple(_PRESETS)
 
 
-def _parse(raw_lines: Sequence[str]) -> Tuple[dict, Dict[str, int]]:
-    """Config values (defaults overridden by ``key = value`` lines) and the
-    line setting each key; every bad line is a ``line N: key: message`` of
-    one ConfigError."""
-    values, lines, errors = dict(DEFAULTS), {}, []
-    for lineno, raw in enumerate(raw_lines, start=1):
+def _parse(raw_lines: Sequence[str],
+           flags: Sequence[Tuple[str, str]] = ()) -> Tuple[dict, Dict[str, str]]:
+    """Config values (defaults overridden by ``key = value`` lines, then by the
+    (flag, ``key = value``) entries) and the source, ``line N`` or the flag,
+    that last set each key, in the order they were last set; every bad entry
+    is a ``<source>: key: message`` of one ConfigError."""
+    values, sources, errors = dict(DEFAULTS), {}, []
+    numbered = [(f"line {n}", raw) for n, raw in enumerate(raw_lines, start=1)]
+    for source, raw in numbered + list(flags):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, eq, text = (part.strip() for part in line.partition("="))
         if not eq:
-            errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            errors.append(f"{source}: expected 'key = value', got {raw.strip()!r}")
         elif key not in _KEYS:
-            errors.append(f"line {lineno}: {key}: unknown key")
+            errors.append(f"{source}: {key}: unknown key")
         else:
             try:
                 values[key] = _KEYS[key][1](text)
-                lines[key] = lineno
+                sources.pop(key, None)
+                sources[key] = source
             except ValueError as exc:
-                errors.append(f"line {lineno}: {key}: {exc}")
+                errors.append(f"{source}: {key}: {exc}")
 
     if values["sweep.include_mc"] and values["mc.samples"] < montecarlo.MIN_SAMPLES:
-        errors.append(f"line {lines['mc.samples']}: mc.samples: "
+        errors.append(f"{sources['mc.samples']}: mc.samples: "
                       f"must be >= {montecarlo.MIN_SAMPLES} when MC is enabled")
     if errors:
         raise ConfigError(errors)
-    return values, lines
+    return values, sources
 
 
-def _sweep(variants: Sequence[Tuple[str, Sequence[str]]]) -> SweepSpec:
-    """Sweep from one (label, config lines) per channel variant; the sweep
-    keys are read from the last one."""
+def _sweep(variants: Sequence[Tuple[str, Sequence[str]]],
+           flags: Sequence[Tuple[str, str]] = ()) -> SweepSpec:
+    """Sweep from one (label, config lines) per channel variant, each followed
+    by the flag entries; the sweep keys are read from the last one."""
     channels = []
     for label, raw_lines in variants:
-        values, lines = _parse(raw_lines)
+        values, sources = _parse(raw_lines, flags)
         try:
             pointing = _pointing_from(values)
         except DomainError as exc:
-            raise _section_error(lines, ("pointing.",), exc) from None
+            raise _section_error(sources, ("pointing.",), exc) from None
         turb = TurbulenceParams(alpha=values["turbulence.alpha"], beta=values["turbulence.beta"])
         try:
             for n in values["link.n_elements"]:
                 analytic.moments(turb, pointing, n)
         except DomainError as exc:
-            raise _section_error(lines, ("turbulence.", "pointing.", "link.n_elements"),
+            raise _section_error(sources, ("turbulence.", "pointing.", "link.n_elements"),
                                  exc) from None
         channels.append(ChannelVariant(label, turb, pointing, values["link.n_elements"]))
 
@@ -381,48 +383,47 @@ def _sweep(variants: Sequence[Tuple[str, Sequence[str]]]) -> SweepSpec:
         psi=values["link.psi"],
         mc_samples=values["mc.samples"],
         seed=values["mc.seed"],
-        workers=values["mc.workers"] or _env_workers(),
+        workers=values["mc.workers"],
         include_asymptotic=values["sweep.include_asymptotic"],
         include_oracle=values["sweep.include_oracle"],
         include_mc=values["sweep.include_mc"],
     )
 
 
-def validate_config(path: str) -> SweepSpec:
-    """Parse and validate a sweep config, applying baseline defaults."""
+def _read(path: str) -> List[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
+            return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from None
-    return _sweep((("", raw_lines),))
+
+
+def validate_config(path: str) -> SweepSpec:
+    """Parse and validate a sweep config, applying baseline defaults."""
+    return _sweep((("", _read(path)),))
+
+
+def _preset(preset_id: str, run: str = "") -> List[Tuple[str, List[str]]]:
+    """(label, config lines) of each channel variant of a preset, ending in ``run``."""
+    if preset_id not in _PRESETS:
+        raise DomainError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
+    shared, variants = _PRESETS[preset_id]
+    return [(label, f"{shared}\n{keys}\n{run}".splitlines()) for label, keys in variants]
 
 
 def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = DEFAULTS["mc.seed"],
                   workers: int = 1) -> SweepSpec:
     """Parameter sets behind the published capacity/outage/BER sweeps."""
-    if preset_id not in _PRESETS:
-        raise DomainError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
-    shared, variants = _PRESETS[preset_id]
-    run = f"mc.samples = {mc_samples}\nmc.seed = {seed}\nmc.workers = {workers}"
-    return _sweep([(label, f"{shared}\n{keys}\n{run}".splitlines())
-                   for label, keys in variants])
+    return _sweep(_preset(preset_id, f"mc.samples = {mc_samples}\nmc.seed = {seed}\n"
+                                     f"mc.workers = {workers}"))
 
 
-def _section_error(lines: Dict[str, int], prefixes: Tuple[str, ...],
+def _section_error(sources: Dict[str, str], prefixes: Tuple[str, ...],
                    exc: Exception) -> ConfigError:
-    """``line N: <section>: <exc>`` at the last config line with one of the key prefixes."""
-    line, key = max(((ln, key) for key, ln in lines.items() if key.startswith(prefixes)),
-                    default=(0, prefixes[0]))
-    return ConfigError([f"line {line}: {key.split('.')[0]}: {exc}"])
-
-
-def _env_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return _integer(1)(raw)
-    except ValueError as exc:
-        raise ConfigError([f"{WORKERS_ENV}: {exc}"]) from None
+    """``<source>: <section>: <exc>`` at the last entry setting a key with one
+    of the prefixes."""
+    key = next((k for k in reversed(sources) if k.startswith(prefixes)), prefixes[0])
+    return ConfigError([f"{sources.get(key, 'line 0')}: {key.split('.')[0]}: {exc}"])
 
 
 def _pointing_from(values: dict) -> PointingGeometry:
@@ -539,15 +540,14 @@ def emit(table: Table, fmt: str, path: Optional[str] = None) -> str:
     return payload
 
 
-def _flag_value(args: argparse.Namespace, flag: str, key: str):
-    """A command-line flag parsed like the config key of the same meaning."""
-    text = getattr(args, flag[2:].replace("-", "_"))
-    if text is None:
-        return None
-    try:
-        return _KEYS[key][1](text)
-    except ValueError as exc:
-        raise ConfigError([f"{flag}: {exc}"]) from None
+# Command-line flag -> the config key it sets.
+_FLAG_KEYS = {"--mc-samples": "mc.samples", "--seed": "mc.seed", "--workers": "mc.workers"}
+
+
+def _flags(args: argparse.Namespace) -> List[Tuple[str, str]]:
+    """Each flag given as the config entry ``key = value``, with the flag as its source."""
+    return [(flag, f"{key} = {text}") for flag, key in _FLAG_KEYS.items()
+            if (text := getattr(args, flag[2:].replace("-", "_"), None)) is not None]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -567,7 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_fig = sub.add_parser("figure", help="run a published-figure preset")
     p_fig.add_argument("preset", choices=PRESET_IDS)
     p_fig.add_argument("--mc-samples", default="10000")
-    p_fig.add_argument("--seed", default=_KEYS["mc.seed"][0])
+    p_fig.add_argument("--seed")
     p_fig.add_argument("--workers")
     p_fig.add_argument("--out", default=None)
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -578,24 +578,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "validate":
-            spec = validate_config(args.config)
-        elif args.command == "sweep":
-            seed = _flag_value(args, "--seed", "mc.seed")
-            workers = _flag_value(args, "--workers", "mc.workers")
-            spec = validate_config(args.config)
-            if seed is not None:
-                spec.seed = seed
-            if workers is not None:
-                spec.workers = workers or _env_workers()
+        if args.command == "figure":
+            spec = _sweep(_preset(args.preset), _flags(args))
         else:
-            samples = _flag_value(args, "--mc-samples", "mc.samples")
-            if samples < montecarlo.MIN_SAMPLES:
-                raise ConfigError([f"--mc-samples: must be >= {montecarlo.MIN_SAMPLES} "
-                                   "when MC is enabled"])
-            seed = _flag_value(args, "--seed", "mc.seed")
-            workers = _flag_value(args, "--workers", "mc.workers") or _env_workers()
-            spec = figure_preset(args.preset, mc_samples=samples, seed=seed, workers=workers)
+            spec = _sweep((("", _read(args.config)),), _flags(args))
     except ConfigError as exc:
         for item in exc.items:
             print(f"error: {item}", file=sys.stderr)
@@ -605,7 +591,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(spec.resolved(), indent=2, sort_keys=True))
         return 0
     table = run_sweep(spec)
-    payload = emit(table, args.format, args.out)
+    try:
+        payload = emit(table, args.format, args.out)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     if not args.out:
         sys.stdout.write(payload)
     else:

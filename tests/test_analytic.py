@@ -358,12 +358,26 @@ class TestAverageBer:
 
     @pytest.mark.parametrize("m, delta_sq, gbar, psi", [
         (8.942799853405746e155, 1.7641828302060737e308, 2.31126515605057e-145, 546.1303289019525),
-        (1.8337409344613132e-156, 1.525104e-317, 4.5786185462628184e153, 187.19699791718858),
-    ], ids=["nan-terms", "inf-terms"])
+    ], ids=["nan-terms"])
     def test_mgf_past_float_range_raises(self, m, delta_sq, gbar, psi):
-        # The MGF terms are nan or inf here; no BER is returned for them.
+        # The MGF terms are nan here; no BER is returned for them.
         with pytest.raises(DomainError):
             analytic.average_ber(psi, summary(m, delta_sq), gbar)
+
+    def test_mgf_exponent_with_overflowing_square_matches_mpmath(self):
+        # (s gamma_bar delta)^2 overflows here, but the MGF exponent is
+        # finite and negative, so the BER is a normal float.
+        m, delta_sq = 1.8337409344613132e-156, 1.525104e-317
+        gbar, psi = 4.5786185462628184e153, 187.19699791718858
+        got = analytic.average_ber(psi, summary(m, delta_sq), gbar)
+        with mpmath.workdps(60):
+            mm, d, g = mpmath.mpf(m), mpmath.sqrt(mpmath.mpf(delta_sq)), mpmath.mpf(gbar)
+            want = 0
+            for w, r in zip(analytic.CHIANI_WEIGHTS, analytic.CHIANI_RATES):
+                s = mpmath.mpf(r * psi)
+                want += w / 2 * mpmath.erfc((s * g * d - mm / d) / mpmath.sqrt(2)) * mpmath.exp(
+                    s * s * g * g * d * d / 2 - s * g * mm)
+        assert got == pytest.approx(float(want), rel=1e-12)
 
 
 class TestChannelCapacity:

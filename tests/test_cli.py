@@ -94,8 +94,8 @@ class TestValidateConfig:
     def test_readme_config_block_shows_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        values, lines = cli._parse(block.splitlines())
-        assert set(lines) == set(cli._KEYS) - {"pointing.exponent_c"}
+        values, sources = cli._parse(block.splitlines())
+        assert set(sources) == set(cli._KEYS) - {"pointing.exponent_c"}
         assert values == cli.DEFAULTS
 
 
@@ -230,16 +230,6 @@ class TestMainEntry:
         assert err.startswith("error: ")
         assert "beam_width_cm" in err
 
-    @pytest.mark.parametrize("command", ["validate", "sweep", "figure"])
-    def test_bad_workers_env_is_a_diagnostic(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
-        args = ["figure", "fig4"] if command == "figure" else [
-            command, "--config", write_config(tmp_path, FAST_CONFIG)]
-        assert cli.main(args) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and cli.WORKERS_ENV in err and "'abc'" in err
-
     @pytest.mark.parametrize("line", [
         "mc.seed = abc",
         "mc.workers = abc",
@@ -256,6 +246,7 @@ class TestMainEntry:
         "turbulence.alpha = inf",
         "link.gamma_bar_db = 0,inf",
         "mc.workers = -3",
+        "mc.workers = 0",
         "sweep.metrics = outage,outage",
     ])
     @pytest.mark.parametrize("command", ["validate", "sweep"])
@@ -322,24 +313,32 @@ class TestMainEntry:
         assert rows["moments"]["error"].startswith("mc: ")
         assert rows["moments"]["mc_mean"] is None and rows["moments"]["mc_stderr"] is None
 
-    @pytest.mark.parametrize("args", [
-        ["validate", "--config", "{missing}"],
-        ["sweep", "--config", "{config}", "--seed", "-1"],
-        ["sweep", "--config", "{config}", "--workers", "-2"],
-        ["figure", "fig4", "--mc-samples", "5"],
-    ], ids=["missing-config", "negative-seed", "negative-workers", "few-samples"])
-    def test_bad_flag_is_one_diagnostic(self, tmp_path, capsys, args):
-        names = {"missing": tmp_path / "missing.cfg", "config": write_config(tmp_path, FAST_CONFIG)}
+    @pytest.mark.parametrize("args, prefix", [
+        (["validate", "--config", "{missing}"], "cannot read config: "),
+        (["sweep", "--config", "{config}", "--seed", "-1"], "--seed: mc.seed: "),
+        (["sweep", "--config", "{config}", "--workers", "-2"], "--workers: mc.workers: "),
+        (["sweep", "--config", "{config}", "--workers", "0"], "--workers: mc.workers: "),
+        (["figure", "fig4", "--mc-samples", "5"], "--mc-samples: mc.samples: "),
+        (["figure", "fig4", "--workers", "0"], "--workers: mc.workers: "),
+        (["figure", "fig4", "--seed", "x"], "--seed: mc.seed: "),
+        (["sweep", "--config", "{config}", "--out", "{missing_dir}"], "--out: "),
+        (["sweep", "--config", "{config}", "--out", "{directory}"], "--out: "),
+    ], ids=["missing-config", "negative-seed", "negative-workers", "zero-workers", "few-samples",
+            "figure-zero-workers", "figure-bad-seed", "out-missing-dir", "out-directory"])
+    def test_bad_flag_is_one_diagnostic(self, tmp_path, capsys, args, prefix):
+        names = {"missing": tmp_path / "missing.cfg", "config": write_config(tmp_path, FAST_CONFIG),
+                 "missing_dir": tmp_path / "missing" / "rows.csv", "directory": tmp_path}
         assert cli.main([a.format(**names) for a in args]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert args[-2] in err or "missing.cfg" in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {prefix}")
 
-    def test_explicit_single_worker_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "4")
-        path = write_config(tmp_path, FAST_CONFIG + "mc.workers = 1\n")
-        assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["workers"] == 1
+    def test_flags_are_entries_after_the_config(self, tmp_path, capsys):
+        path = write_config(tmp_path, FAST_CONFIG + "mc.seed = 5\nmc.workers = 1\n")
+        assert cli.main(["sweep", "--config", path, "--seed", "7", "--workers", "2",
+                         "--format", "json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["seed"], config["workers"]) == (7, 2)
 
     def test_zero_jitter_config_is_a_diagnostic(self, tmp_path, capsys):
         path = write_config(
