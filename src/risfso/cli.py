@@ -321,17 +321,20 @@ _PRESETS = {
 
 PRESET_IDS = tuple(_PRESETS)
 
+_FIGURE_MC_SAMPLES = 10000  # Monte Carlo samples per point of a figure preset
+
 
 def _parse(raw_lines: Sequence[str],
            flags: Sequence[Tuple[str, str]] = ()) -> Tuple[dict, Dict[str, str]]:
     """Config values (defaults overridden by ``key = value`` lines, then by the
-    (flag, ``key = value``) entries) and the source, ``line N`` or the flag,
-    that last set each key, in the order they were last set; every bad entry
-    is a ``<source>: key: message`` of one ConfigError."""
+    (source, ``key = value``) entries such as flags) and the source, ``line N``
+    or the entry's, that last set each key, in the order they were last set;
+    every bad entry is a ``<source>: key: message`` of one ConfigError."""
     values, sources, errors = dict(DEFAULTS), {}, []
-    numbered = [(f"line {n}", raw) for n, raw in enumerate(raw_lines, start=1)]
-    for source, raw in numbered + list(flags):
-        line = raw.split("#", 1)[0].strip()
+    # A config line's '#' starts a comment; a flag's value is taken whole.
+    numbered = [(f"line {n}", raw, raw.split("#", 1)[0]) for n, raw in enumerate(raw_lines, 1)]
+    for source, raw, line in numbered + [(flag, entry, entry) for flag, entry in flags]:
+        line = line.strip()
         if not line:
             continue
         key, eq, text = (part.strip() for part in line.partition("="))
@@ -403,19 +406,20 @@ def validate_config(path: str) -> SweepSpec:
     return _sweep((("", _read(path)),))
 
 
-def _preset(preset_id: str, run: str = "") -> List[Tuple[str, List[str]]]:
-    """(label, config lines) of each channel variant of a preset, ending in ``run``."""
+def _preset(preset_id: str) -> List[Tuple[str, List[str]]]:
+    """(label, config lines) of each channel variant of a preset."""
     if preset_id not in _PRESETS:
         raise DomainError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
     shared, variants = _PRESETS[preset_id]
-    return [(label, f"{shared}\n{keys}\n{run}".splitlines()) for label, keys in variants]
+    return [(label, f"{shared}\n{keys}".splitlines()) for label, keys in variants]
 
 
-def figure_preset(preset_id: str, mc_samples: int = 10000, seed: int = DEFAULTS["mc.seed"],
-                  workers: int = 1) -> SweepSpec:
+def figure_preset(preset_id: str, mc_samples: int = _FIGURE_MC_SAMPLES,
+                  seed: int = DEFAULTS["mc.seed"], workers: int = 1) -> SweepSpec:
     """Parameter sets behind the published capacity/outage/BER sweeps."""
-    return _sweep(_preset(preset_id, f"mc.samples = {mc_samples}\nmc.seed = {seed}\n"
-                                     f"mc.workers = {workers}"))
+    return _sweep(_preset(preset_id), [("mc_samples", f"mc.samples = {mc_samples}"),
+                                       ("seed", f"mc.seed = {seed}"),
+                                       ("workers", f"mc.workers = {workers}")])
 
 
 def _section_error(sources: Dict[str, str], prefixes: Tuple[str, ...],
@@ -566,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_fig = sub.add_parser("figure", help="run a published-figure preset")
     p_fig.add_argument("preset", choices=PRESET_IDS)
-    p_fig.add_argument("--mc-samples", default="10000")
+    p_fig.add_argument("--mc-samples", default=str(_FIGURE_MC_SAMPLES))
     p_fig.add_argument("--seed")
     p_fig.add_argument("--workers")
     p_fig.add_argument("--out", default=None)

@@ -321,10 +321,12 @@ class TestMainEntry:
         (["figure", "fig4", "--mc-samples", "5"], "--mc-samples: mc.samples: "),
         (["figure", "fig4", "--workers", "0"], "--workers: mc.workers: "),
         (["figure", "fig4", "--seed", "x"], "--seed: mc.seed: "),
+        (["sweep", "--config", "{config}", "--seed", "7#8"], "--seed: mc.seed: "),
         (["sweep", "--config", "{config}", "--out", "{missing_dir}"], "--out: "),
         (["sweep", "--config", "{config}", "--out", "{directory}"], "--out: "),
     ], ids=["missing-config", "negative-seed", "negative-workers", "zero-workers", "few-samples",
-            "figure-zero-workers", "figure-bad-seed", "out-missing-dir", "out-directory"])
+            "figure-zero-workers", "figure-bad-seed", "seed-with-hash", "out-missing-dir",
+            "out-directory"])
     def test_bad_flag_is_one_diagnostic(self, tmp_path, capsys, args, prefix):
         names = {"missing": tmp_path / "missing.cfg", "config": write_config(tmp_path, FAST_CONFIG),
                  "missing_dir": tmp_path / "missing" / "rows.csv", "directory": tmp_path}
@@ -332,6 +334,7 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {prefix}")
+        assert args[-2] in err or "missing.cfg" in err
 
     def test_flags_are_entries_after_the_config(self, tmp_path, capsys):
         path = write_config(tmp_path, FAST_CONFIG + "mc.seed = 5\nmc.workers = 1\n")
