@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -186,8 +187,7 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
 class AsymptoticProfile:
     """High-SNR expansion data of the single-element SNR density."""
 
-    b: Tuple[float, float, float]  # (c - 1, alpha - 1, beta - 1)
-    varrho: float  # min(b)
+    varrho: float  # min(c - 1, alpha - 1, beta - 1)
     log_epsilon: float  # log of the (positive) residue coefficient of the leading power
     n_elements: int
 
@@ -229,7 +229,7 @@ def asymptotic_profile(
         raise DegenerateParametersError(
             "asymptotic coefficient is not a positive finite number; expansion not usable"
         )
-    return AsymptoticProfile(b=b, varrho=b[i_star], log_epsilon=log_eps, n_elements=n_elements)
+    return AsymptoticProfile(varrho=b[i_star], log_epsilon=log_eps, n_elements=n_elements)
 
 
 def asymptotic_outage(
@@ -244,7 +244,7 @@ def asymptotic_outage(
         return 0.0
     rho = profile.varrho
     n = profile.n_elements
-    d = 0.5 * (1.0 + rho) * n
+    d = profile.diversity_order
     log_k = (
         profile.log_epsilon
         + math.log(g.c)
@@ -286,54 +286,38 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
     return sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
 
 
+# Each non-outage kind's per-realization value g(x), written once over a
+# numeric namespace f: math for the oracle's quadrature, which calls its
+# integrand one float at a time (a numpy ufunc on a scalar costs more than the
+# rest of the step), and _ARRAY for Monte Carlo's sample arrays.
+_FORMS = {
+    "ber_exactQ": lambda f, x, psi, n, s: 0.5 * f.erfc(f.sqrt(psi * x)),
+    "ber_chiani": lambda f, x, psi, n, s: sum(
+        w * f.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)),
+    "capacity": lambda f, x, psi, n, s: f.log2(1.0 + x),
+    "moment": lambda f, x, psi, n, s: x ** n,
+    "mgf": lambda f, x, psi, n, s: f.exp(-s * x),
+}
+_ARRAY = SimpleNamespace(erfc=sp.erfc, sqrt=np.sqrt, exp=np.exp, log2=np.log2)
+
 # The metrics that are the mean of a per-realization value of the SNR.
-METRIC_KINDS = ("outage", "ber_exactQ", "ber_chiani", "capacity", "moment", "mgf")
+METRIC_KINDS = ("outage", *_FORMS)
 
 
-def metric_value(
-    kind: str,
-    x,
-    *,
-    gamma_th: Optional[float] = None,
-    psi: float = 1.0,
-    n: int = 1,
-    s: float = 0.0,
-):
+def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float = 1.0):
     """Per-realization value g(x) at SNR x, vectorized; the metric is E[g(gamma)].
 
     outage: 1{x <= gamma_th}; ber_exactQ: Q(sqrt(2 psi x)); ber_chiani: the
     two-exponential approximation of that Q; capacity: log2(1 + x);
-    moment: x^n; mgf: exp(-s x).
+    moment: x (first order); mgf: exp(-s x) at s = 0.
     """
     if kind == "outage":
         if gamma_th is None:
             raise DomainError("outage requires gamma_th")
         return np.less_equal(x, gamma_th).astype(float)
-    if kind == "ber_exactQ":
-        return 0.5 * sp.erfc(np.sqrt(psi * x))
-    if kind == "ber_chiani":
-        return sum(w * np.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES))
-    if kind == "capacity":
-        return np.log2(1.0 + x)
-    if kind == "moment":
-        return x ** n
-    if kind == "mgf":
-        return np.exp(-s * x)
-    raise _unknown_kind(kind)
-
-
-# metric_value on one Python float, for the oracle's quadrature, which calls its
-# integrand one point at a time: a numpy ufunc on a scalar costs more than the
-# rest of the step. Same kinds, order and expressions as metric_value, with math
-# in place of numpy (outage is a range integral there).
-_FLOAT_FORMS = {
-    "ber_exactQ": lambda x, psi, n, s: 0.5 * math.erfc(math.sqrt(psi * x)),
-    "ber_chiani": lambda x, psi, n, s: sum(
-        w * math.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)),
-    "capacity": lambda x, psi, n, s: math.log2(1.0 + x),
-    "moment": lambda x, psi, n, s: x ** n,
-    "mgf": lambda x, psi, n, s: math.exp(-s * x),
-}
+    if kind not in _FORMS:
+        raise _unknown_kind(kind)
+    return _FORMS[kind](_ARRAY, x, psi, 1, 0.0)
 
 
 def _unknown_kind(kind: str) -> DomainError:
@@ -352,7 +336,7 @@ def oracle_metric(
 ) -> Tuple[float, float]:
     """Independent quadrature of a metric's defining integral.
 
-    Integrates the float form of metric_value against the Gaussian
+    Integrates the kind's _FORMS entry, on math floats, against the Gaussian
     aggregate-SNR density on [0, inf), outage as the density over
     [0, gamma_th]; the closed forms above must agree with this to
     quadrature accuracy.
@@ -391,7 +375,7 @@ def oracle_metric(
         )
         return float(val), float(err)
 
-    if kind not in _FLOAT_FORMS:
+    if kind not in _FORMS:
         raise _unknown_kind(kind)
     if kind in ("ber_exactQ", "ber_chiani") and not psi > 0:
         raise DomainError("psi must be positive")
@@ -399,10 +383,10 @@ def oracle_metric(
         raise DomainError("mgf requires s >= 0")
     if kind == "moment" and n < 0:
         raise DomainError("moment order must be >= 0")
-    form = _FLOAT_FORMS[kind]
+    form = _FORMS[kind]
 
     def integrand(x: float) -> float:
-        return form(x, psi, n, s) * density(x)
+        return form(math, x, psi, n, s) * density(x)
 
     # Split at the density mode so the adaptive rule sees the mass.
     cut = max(mu + 12.0 * sd, 16.0 * sd)

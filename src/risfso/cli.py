@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analytic, montecarlo
@@ -236,16 +236,7 @@ class SweepSpec:
     def resolved(self) -> dict:
         """JSON-serializable echo of every parameter driving the sweep."""
         return {
-            "gamma_bar_db": list(self.gamma_bar_db),
-            "metrics": list(self.metrics),
-            "gamma_th": self.gamma_th,
-            "psi": self.psi,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-            "workers": self.workers,
-            "include_asymptotic": self.include_asymptotic,
-            "include_oracle": self.include_oracle,
-            "include_mc": self.include_mc,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "variants"},
             "variants": [
                 {
                     "label": v.label,
@@ -415,7 +406,8 @@ def _preset(preset_id: str) -> List[Tuple[str, List[str]]]:
 
 
 def figure_preset(preset_id: str, mc_samples: int = _FIGURE_MC_SAMPLES,
-                  seed: int = DEFAULTS["mc.seed"], workers: int = 1) -> SweepSpec:
+                  seed: int = DEFAULTS["mc.seed"],
+                  workers: int = DEFAULTS["mc.workers"]) -> SweepSpec:
     """Parameter sets behind the published capacity/outage/BER sweeps."""
     return _sweep(_preset(preset_id), [("mc_samples", f"mc.samples = {mc_samples}"),
                                        ("seed", f"mc.seed = {seed}"),
@@ -594,6 +586,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "validate":
         print(json.dumps(spec.resolved(), indent=2, sort_keys=True))
         return 0
+    if args.out:
+        try:
+            # Probe the path, so one that cannot be written fails before the sweep.
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
     table = run_sweep(spec)
     try:
         payload = emit(table, args.format, args.out)

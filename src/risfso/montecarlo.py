@@ -178,7 +178,7 @@ def estimate_grid(
         raise DomainError(f"expected a non-empty list of metric kinds, got {metric_kinds!r}")
     for kind in metric_kinds:
         if kind not in analytic.METRIC_KINDS:
-            raise DomainError(f"unknown metric kind {kind!r}; choose from {analytic.METRIC_KINDS}")
+            raise analytic._unknown_kind(kind)
     if n_samples < MIN_SAMPLES:
         raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
     fingerprints = {gb: _fingerprint(t, g, replace(base_cfg, gamma_bar=gb)) for gb in gamma_bars}

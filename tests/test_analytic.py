@@ -481,28 +481,36 @@ class TestOracleFloatForms:
     PARAMS = [(1.0, 1, 1.0), (187.2, 3, 4.0 / 3.0), (0.05, 7, 1e-3)]  # (psi, n, s)
 
     def test_every_kind_but_outage_has_a_float_form(self):
-        assert set(analytic._FLOAT_FORMS) == set(analytic.METRIC_KINDS) - {"outage"}
+        assert set(analytic._FORMS) == set(analytic.METRIC_KINDS) - {"outage"}
+        assert analytic.METRIC_KINDS == (
+            "outage", "ber_exactQ", "ber_chiani", "capacity", "moment", "mgf")
 
-    @pytest.mark.parametrize("kind", sorted(analytic._FLOAT_FORMS))
+    @pytest.mark.parametrize("kind", sorted(analytic._FORMS))
     def test_matches_metric_value(self, kind):
-        # scipy's erfc is up to 6e-14 off in the deep tail, where math.erfc
-        # is not, and flushes to 0 the subnormal values math.erfc keeps.
+        # The form on math floats, as the oracle runs it, against the same form
+        # on numpy/scipy arrays, and against metric_value (n = 1, s = 0), as
+        # Monte Carlo runs it. scipy's erfc is up to 6e-14 off in the deep
+        # tail, where math.erfc is not, and flushes to 0 the subnormal values
+        # math.erfc keeps.
         rel = 1e-13 if kind == "ber_exactQ" else 1e-15
-        form = analytic._FLOAT_FORMS[kind]
+        form = analytic._FORMS[kind]
         for psi, n, s in self.PARAMS:
             x = self.X[self.X <= 1e300 ** (1.0 / n)] if kind == "moment" else self.X
-            expected = analytic.metric_value(kind, x, psi=psi, n=n, s=s)
-            got = [form(float(xi), psi, n, s) for xi in x]
-            np.testing.assert_allclose(got, expected, rtol=rel, atol=sys.float_info.min)
+            got = [form(math, float(xi), psi, n, s) for xi in x]
+            np.testing.assert_allclose(got, form(analytic._ARRAY, x, psi, n, s), rtol=rel,
+                                       atol=sys.float_info.min)
+            got = [form(math, float(xi), psi, 1, 0.0) for xi in self.X]
+            np.testing.assert_allclose(got, analytic.metric_value(kind, self.X, psi=psi),
+                                       rtol=rel, atol=sys.float_info.min)
 
     def test_exactq_matches_mpmath(self):
         # The reference erfc takes the same rounded sqrt(psi x) as the form:
         # erfc's condition number 2u^2 would turn the half-ulp rounding of u
         # alone into up to 1.5e-13 at u = 26.
-        form = analytic._FLOAT_FORMS["ber_exactQ"]
+        form = analytic._FORMS["ber_exactQ"]
         with mpmath.workdps(40):
             for psi in (1.0, 187.2):
                 for x in self.X:
                     expected = 0.5 * mpmath.erfc(math.sqrt(psi * x))
                     if expected >= sys.float_info.min:
-                        assert abs(form(float(x), psi, 1, 0.0) / expected - 1) <= 1e-15, x
+                        assert abs(form(math, float(x), psi, 1, 0.0) / expected - 1) <= 1e-15, x

@@ -248,6 +248,9 @@ class TestMainEntry:
         "mc.workers = -3",
         "mc.workers = 0",
         "sweep.metrics = outage,outage",
+        "link.gamma_bar_db = 0:40",
+        "link.gamma_bar_db = 0:40:-2",
+        "sweep.metrics = ,",
     ])
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_bad_value_is_one_diagnostic(self, tmp_path, capsys, command, line):
@@ -256,6 +259,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: line 2: {line.split(' = ')[0]}: ")
+
+    @pytest.mark.parametrize("line, message", [
+        ("link.gamma_bar_db = 0:40", "link.gamma_bar_db: expected start:stop:step, got '0:40'"),
+        ("link.gamma_bar_db = 0:40:-2",
+         "link.gamma_bar_db: grid step must be positive, got '0:40:-2'"),
+        ("sweep.metrics = ,", "sweep.metrics: metric list is empty"),
+        ("link.psi", "expected 'key = value', got 'link.psi'"),
+    ])
+    def test_diagnostic_text(self, tmp_path, capsys, line, message):
+        path = write_config(tmp_path, f"link.n_elements = 4\n{line}\n")
+        assert cli.main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
     @pytest.mark.parametrize("value", [
         "0", "1e-300", "-1e-300", "1e-30", "1e30", "1e300", "-1e300", "5000", "-5000",
@@ -289,6 +304,24 @@ class TestMainEntry:
         assert rows["moments"]["mc_stderr"] is None
         assert rows["moments"]["error"].startswith("mc: ")
         assert all(rows[m]["mc_stderr"] is not None for m in ("outage", "ber", "capacity"))
+
+    def test_closed_form_error_is_a_row_error(self, tmp_path, capsys, monkeypatch):
+        def fail(n, ms, gamma_bar):
+            raise DomainError("boom")
+
+        monkeypatch.setattr(analytic, "amount_of_fading", fail)
+        path = write_config(tmp_path, (
+            "link.gamma_bar_db = 0,10\nlink.n_elements = 4\nsweep.metrics = outage,af\n"
+            "mc.samples = 1000\nmc.workers = 1\n"
+        ))
+        assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        af = [r for r in rows if r["metric"] == "af"]
+        outage = [r for r in rows if r["metric"] == "outage"]
+        assert len(af) == len(outage) == 2
+        assert all(r["analytic"] is None and r["error"] == "boom" for r in af)
+        assert all(r["error"] is None and None not in (r["analytic"], r["mc_mean"], r["mc_stderr"])
+                   for r in outage)
 
     @pytest.mark.parametrize("db, metrics, samples", [
         (3075, "moments", 12288),
@@ -327,7 +360,11 @@ class TestMainEntry:
     ], ids=["missing-config", "negative-seed", "negative-workers", "zero-workers", "few-samples",
             "figure-zero-workers", "figure-bad-seed", "seed-with-hash", "out-missing-dir",
             "out-directory"])
-    def test_bad_flag_is_one_diagnostic(self, tmp_path, capsys, args, prefix):
+    def test_bad_flag_is_one_diagnostic(self, tmp_path, capsys, monkeypatch, args, prefix):
+        def run_sweep(spec):
+            raise AssertionError("the sweep ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
         names = {"missing": tmp_path / "missing.cfg", "config": write_config(tmp_path, FAST_CONFIG),
                  "missing_dir": tmp_path / "missing" / "rows.csv", "directory": tmp_path}
         assert cli.main([a.format(**names) for a in args]) == 2
@@ -335,6 +372,23 @@ class TestMainEntry:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {prefix}")
         assert args[-2] in err or "missing.cfg" in err
+
+    def test_out_write_error_after_the_sweep_is_one_diagnostic(self, tmp_path, capsys,
+                                                               monkeypatch):
+        out_path = tmp_path / "rows.csv"
+        sweep = cli.run_sweep
+
+        def run_sweep(spec):
+            # The path passed its check; make it a directory before the write.
+            out_path.unlink(missing_ok=True)
+            out_path.mkdir()
+            return sweep(spec)
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        path = write_config(tmp_path, FAST_CONFIG)
+        assert cli.main(["sweep", "--config", path, "--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: --out: ")
 
     def test_flags_are_entries_after_the_config(self, tmp_path, capsys):
         path = write_config(tmp_path, FAST_CONFIG + "mc.seed = 5\nmc.workers = 1\n")
