@@ -19,7 +19,6 @@ from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special as sp  # integrate loads in oracle_metric; default sweeps never integrate
 
 from .channel import PointingGeometry, TurbulenceParams
 from .errors import DegenerateParametersError, DomainError
@@ -64,6 +63,12 @@ _ORACLE_ABS_TOL = 1e-14
 _ORACLE_REL_TOL = 1e-10
 _ORACLE_LIMIT = 400
 
+
+def _phi(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Per-element moments of B and their CLT aggregate over N elements."""
@@ -77,6 +82,11 @@ class MomentSummary:
     @property
     def delta(self) -> float:
         return math.sqrt(self.delta_sq)
+
+    @property
+    def clt_missing_mass(self) -> float:
+        """P(Z < 0) under the Gaussian model of Z: the mass the closed forms drop."""
+        return _phi(-self.m / self.delta)
 
 
 def _gamma_ratio(a: float, k: int) -> float:
@@ -122,7 +132,7 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
     u = s * gamma_bar * d / math.sqrt(2.0) - m / (math.sqrt(2.0) * d)
     if u >= 0:
         # erfc(u) e^{A} = erfcx(u) e^{A - u^2}, and A - u^2 = -m^2/(2 d^2)
-        val = 0.5 * float(sp.erfcx(u)) * math.exp(-m * m / (2.0 * d * d))
+        val = 0.5 * numerics.erfcx(u) * math.exp(-m * m / (2.0 * d * d))
     else:
         # The exponent s^2 g^2 d^2 / 2 - s g m, scale-free: x < m / d here,
         # so it is not positive even where (s g d)^2 alone overflows.
@@ -171,7 +181,7 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
     m, d = ms.m, ms.delta
     if gamma_bar * d == 0.0:
         # gamma_th / (gamma_bar d) is past every float: the limit Phi(m / d).
-        return float(sp.ndtr(m / d))
+        return _phi(m / d)
     a, h = -m / d, gamma_th / (gamma_bar * d)
     if h * max(1.0, -a) <= 1.0:
         # Phi(a + h) and Phi(a) share their leading digits here, so their
@@ -180,7 +190,7 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
         return 0.5 * h * float(np.dot(_GL_WEIGHTS, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
     # A difference of normal CDFs keeps relative accuracy when both
     # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
-    return float(sp.ndtr((gamma_th - m * gamma_bar) / (gamma_bar * d)) - sp.ndtr(a))
+    return _phi((gamma_th - m * gamma_bar) / (gamma_bar * d)) - _phi(a)
 
 
 @dataclass(frozen=True)
@@ -220,11 +230,12 @@ def asymptotic_profile(
         )
     # epsilon = prod_{j != i*} Gamma(b_j - varrho) / Gamma(c - varrho). Every
     # argument is positive (c - varrho >= 1), so epsilon > 0; only its
-    # logarithm can leave the float range.
-    log_eps = float(
-        sum(sp.gammaln(b[j] - b[i_star]) for j in range(3) if j != i_star)
-        - sp.gammaln(g.c - b[i_star])
-    )
+    # logarithm can leave the float range, where lgamma raises.
+    try:
+        log_eps = (sum(math.lgamma(b[j] - b[i_star]) for j in range(3) if j != i_star)
+                   - math.lgamma(g.c - b[i_star]))
+    except OverflowError:
+        log_eps = math.inf
     if not math.isfinite(log_eps):
         raise DegenerateParametersError(
             "asymptotic coefficient is not a positive finite number; expansion not usable"
@@ -298,7 +309,7 @@ _FORMS = {
     "moment": lambda f, x, psi, n, s: x ** n,
     "mgf": lambda f, x, psi, n, s: f.exp(-s * x),
 }
-_ARRAY = SimpleNamespace(erfc=sp.erfc, sqrt=np.sqrt, exp=np.exp, log2=np.log2)
+_ARRAY = SimpleNamespace(erfc=numerics.erfc, sqrt=np.sqrt, exp=np.exp, log2=np.log2)
 
 # The metrics that are the mean of a per-realization value of the SNR.
 METRIC_KINDS = ("outage", *_FORMS)

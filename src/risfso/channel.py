@@ -249,8 +249,8 @@ def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size=None):
     """
     g = _as_generator(rng)
     x = g.gamma(t.alpha, 1.0 / t.alpha, size)
-    y = g.gamma(t.beta, 1.0 / t.beta, size)
-    return x * y
+    x *= g.gamma(t.beta, 1.0 / t.beta, size)
+    return x
 
 
 def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size=None):
@@ -260,8 +260,12 @@ def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size=None):
     is standard exponential and h_p = A0 exp(-E / c) has the CDF
     (h / A0)^c of the beam-profile model.
     """
-    e = _as_generator(rng).standard_exponential(size)
-    return geo.a0 * np.exp(-e / geo.c)
+    h = np.asarray(_as_generator(rng).standard_exponential(size))  # 0-d for a scalar draw
+    np.negative(h, out=h)
+    h /= geo.c
+    np.exp(h, out=h)
+    h *= geo.a0
+    return h[()]
 
 
 def sample_aggregate(
@@ -282,8 +286,10 @@ def sample_aggregate(
     z = 0.0
     for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
         shape = lead + (min(_ELEMENT_CHUNK, cfg.n_elements - start),)
-        h = sample_h_a(t, g, shape) * sample_h_p(geo, g, shape)
-        z = z + np.sum(h * h, axis=-1)
+        h = sample_h_a(t, g, shape)
+        h *= sample_h_p(geo, g, shape)
+        h *= h
+        z = z + np.sum(h, axis=-1)
     return z, cfg.gamma_bar * z
 
 

@@ -270,6 +270,7 @@ class Row:
     n_samples: Optional[int] = None
     seed: Optional[int] = None
     clamp_events: int = 0
+    clt_missing_mass: Optional[float] = None
     error: Optional[str] = None
 
 
@@ -449,6 +450,7 @@ def run_sweep(spec: SweepSpec) -> Table:
         t, g = variant.turbulence, variant.pointing
         for n in variant.n_list:
             ms = analytic.moments(t, g, n)
+            missing_mass = ms.clt_missing_mass
             base_cfg = LinkConfig(n_elements=n, gamma_bar=1.0,
                                   gamma_th=spec.gamma_th, psi=spec.psi)
             profile = profile_error = None
@@ -472,6 +474,7 @@ def run_sweep(spec: SweepSpec) -> Table:
                         n_elements=n,
                         metric=f"{metric}@{variant.label}" if variant.label else metric,
                         seed=spec.seed if spec.include_mc else None,
+                        clt_missing_mass=missing_mass,
                     )
                     try:
                         row.analytic = closed_form(ms, gb, spec)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special as sp
 
 from . import analytic, channel
 from .channel import LinkConfig, PointingGeometry, RandomStream, TurbulenceParams
@@ -27,6 +27,10 @@ __all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
 
 BLOCK_SIZE = 4096
 MIN_SAMPLES = 1000
+
+# Average SNRs a block is evaluated at in one array, which bounds each
+# (gamma_bar, sample) temporary to 2 MiB for any grid length.
+_GAMMA_CHUNK = 64
 
 BlockStats = Tuple[int, float, float]  # (count, sum, sum of squares)
 
@@ -121,7 +125,7 @@ def confidence_interval(e: McEstimate, level: float) -> Tuple[float, float]:
         raise DomainError("level must lie in (0, 1)")
     if e.n_samples < 30:
         raise DomainError("need at least 30 samples for a normal-approximation CI")
-    z = float(sp.ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * e.stderr
     return (e.mean - half, e.mean + half)
 
@@ -171,8 +175,9 @@ def estimate_grid(
 
     Averages analytic.metric_value over the samples (moments are of
     first order). Z does not depend on the metric or the average SNR, so
-    each block is sampled once and evaluated for every (kind, gamma_bar);
-    each result is bit-identical to a standalone estimate() call.
+    each block is sampled once and each kind evaluated on one
+    (gamma_bar, sample) array; each result is bit-identical to a
+    standalone estimate() call.
     """
     if isinstance(metric_kinds, str) or not metric_kinds:
         raise DomainError(f"expected a non-empty list of metric kinds, got {metric_kinds!r}")
@@ -182,6 +187,8 @@ def estimate_grid(
     if n_samples < MIN_SAMPLES:
         raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
     fingerprints = {gb: _fingerprint(t, g, replace(base_cfg, gamma_bar=gb)) for gb in gamma_bars}
+    grid = list(fingerprints)
+    grid_array = np.array(grid)
 
     def do_block(item: Tuple[int, int]):
         block_id, count = item
@@ -190,11 +197,15 @@ def estimate_grid(
         # A sum past the float range is inf, reported by McEstimate.mean and
         # .stderr. The error state is per thread, so it is set here.
         with np.errstate(over="ignore"):
-            for kind in metric_kinds:
-                for gb in fingerprints:
-                    vals = analytic.metric_value(kind, gb * z, gamma_th=base_cfg.gamma_th,
+            for start in range(0, len(grid), _GAMMA_CHUNK):
+                x = grid_array[start:start + _GAMMA_CHUNK, None] * z
+                for kind in metric_kinds:
+                    vals = analytic.metric_value(kind, x, gamma_th=base_cfg.gamma_th,
                                                  psi=base_cfg.psi)
-                    out[kind, gb] = (count, float(np.sum(vals)), float(np.sum(vals * vals)))
+                    sums = np.sum(vals, axis=-1).tolist()
+                    sums_sq = np.sum(vals * vals, axis=-1).tolist()
+                    for gb, s1, s2 in zip(grid[start:start + _GAMMA_CHUNK], sums, sums_sq):
+                        out[kind, gb] = (count, s1, s2)
         return block_id, out
 
     plan = _block_plan(n_samples, first_stream)

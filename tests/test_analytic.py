@@ -190,6 +190,19 @@ class TestAmountOfFading:
         )
 
 
+def test_normal_cdf_matches_mpmath():
+    # Phi(x) = erfc(-x / sqrt 2) / 2: the rounding of x / sqrt 2 costs up to
+    # about x^2 ulp in the lower tail, as it does in scipy.special.ndtr.
+    from scipy import special
+
+    x = np.linspace(-37.0, 5.0, 841)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.ncdf(v)) for v in x])
+    err = np.abs(np.array([analytic._phi(float(v)) for v in x]) / ref - 1.0)
+    assert err.max() <= 2e-13
+    assert err.max() <= np.max(np.abs(special.ndtr(x) / ref - 1.0))
+
+
 class TestOutage:
     def test_zero_threshold(self, ms):
         assert analytic.outage_probability(0.0, ms, 1.0) == 0.0
@@ -282,7 +295,7 @@ class TestAsymptotics:
             analytic.asymptotic_profile(turb, geo, 1)
 
     def test_coefficient_past_float_range_rejected(self):
-        # gammaln of the gap alpha - 1 - varrho is inf at alpha = 1e306.
+        # lgamma of the gap alpha - 1 - varrho overflows at alpha = 1e306.
         geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
         with pytest.raises(DegenerateParametersError):
             analytic.asymptotic_profile(channel.TurbulenceParams(1e306, BETA), geo, 1)
@@ -488,20 +501,18 @@ class TestOracleFloatForms:
     @pytest.mark.parametrize("kind", sorted(analytic._FORMS))
     def test_matches_metric_value(self, kind):
         # The form on math floats, as the oracle runs it, against the same form
-        # on numpy/scipy arrays, and against metric_value (n = 1, s = 0), as
-        # Monte Carlo runs it. scipy's erfc is up to 6e-14 off in the deep
-        # tail, where math.erfc is not, and flushes to 0 the subnormal values
+        # on numpy arrays, and against metric_value (n = 1, s = 0), as Monte
+        # Carlo runs it. The array erfc flushes to 0 the subnormal values
         # math.erfc keeps.
-        rel = 1e-13 if kind == "ber_exactQ" else 1e-15
         form = analytic._FORMS[kind]
         for psi, n, s in self.PARAMS:
             x = self.X[self.X <= 1e300 ** (1.0 / n)] if kind == "moment" else self.X
             got = [form(math, float(xi), psi, n, s) for xi in x]
-            np.testing.assert_allclose(got, form(analytic._ARRAY, x, psi, n, s), rtol=rel,
+            np.testing.assert_allclose(got, form(analytic._ARRAY, x, psi, n, s), rtol=1e-15,
                                        atol=sys.float_info.min)
             got = [form(math, float(xi), psi, 1, 0.0) for xi in self.X]
             np.testing.assert_allclose(got, analytic.metric_value(kind, self.X, psi=psi),
-                                       rtol=rel, atol=sys.float_info.min)
+                                       rtol=1e-15, atol=sys.float_info.min)
 
     def test_exactq_matches_mpmath(self):
         # The reference erfc takes the same rounded sqrt(psi x) as the form:

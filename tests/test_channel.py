@@ -249,6 +249,12 @@ class TestSamplers:
         z2, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
         assert np.array_equal(z1, z2)
 
+    def test_scalar_draw_is_the_first_of_an_array_draw(self, turb, geo):
+        for sampler, params in ((channel.sample_h_a, turb), (channel.sample_h_p, geo)):
+            one = sampler(params, channel.RandomStream(3), None)
+            assert np.ndim(one) == 0
+            assert one == sampler(params, channel.RandomStream(3), 1)[0]
+
     @pytest.mark.parametrize("size", [None, 64])
     @pytest.mark.parametrize("n_elements", [1, 128, 256])
     def test_single_chunk_aggregate_is_the_unchunked_sum(self, turb, geo, n_elements, size):

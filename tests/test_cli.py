@@ -180,6 +180,19 @@ class TestRunSweepAndEmit:
         assert len(doc["rows"]) == len(table.rows)
         assert doc["rows"][0]["clamp_events"] == 0
 
+    def test_clt_missing_mass_is_a_json_field(self, tmp_path):
+        # Default channel: the Gaussian model of Z puts 17% of its mass below
+        # zero at N = 1. References: mpmath ncdf(-m / delta).
+        path = write_config(tmp_path, "link.n_elements = 1,128\nlink.gamma_bar_db = 0,10\n"
+                            "sweep.include_mc = false\n")
+        table = cli.run_sweep(cli.validate_config(path))
+        want = {1: 0.17222471020651542, 128: 5.307791677501266e-27}
+        for row in json.loads(cli.emit(table, "json"))["rows"]:
+            assert row["clt_missing_mass"] == pytest.approx(want[row["n_elements"]], rel=1e-14)
+        assert cli.emit(table, "csv").splitlines()[0] == (
+            "gamma_bar_db,n_elements,metric,analytic,asymptotic,mc_mean,mc_stderr,oracle,"
+            "n_samples,seed")
+
     def test_clamp_events_mark_the_capped_asymptote(self):
         spec = dataclasses.replace(cli.figure_preset("fig4"), include_mc=False)
         rows = cli.run_sweep(spec).rows
@@ -454,34 +467,49 @@ class TestMainEntry:
 # Run in a fresh interpreter, so sys.modules holds only what risfso loads.
 FRESH_PROCESS = """
 import json, sys
-from risfso import analytic, cli
-quadrature = ("scipy.integrate", "scipy.optimize")
+from risfso import analytic, cli, montecarlo
 spec = cli.validate_config(sys.argv[1])
 table = cli.run_sweep(spec)
 cli.emit(table, "csv")
 cli.emit(table, "json")
-before = [m for m in quadrature if m in sys.modules]
+montecarlo.confidence_interval(montecarlo.McEstimate("moment", "", 0, {0: (64, 0.0, 4096.0)}),
+                               0.95)
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 v = spec.variants[0]
 value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
-after = [m for m in quadrature if m in sys.modules]
+after = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
 print(json.dumps({"before": before, "after": after, "value": value}))
 """
 
 
-def test_quadrature_stack_loads_only_when_a_run_integrates(tmp_path):
-    # Validation, closed forms and Monte Carlo never integrate, so a fresh
-    # process that only runs them does not pay for importing scipy's
-    # quadrature and optimizer packages.
-    path = write_config(tmp_path, "link.gamma_bar_db = 0,10\nlink.n_elements = 4\n"
-                        "sweep.metrics = outage,ber,capacity\nmc.samples = 1000\n"
-                        "mc.workers = 1\n")
+@pytest.fixture(scope="module")
+def fresh_process(tmp_path_factory):
+    """(sys.modules report of FRESH_PROCESS, its config path) for an MC sweep
+    of outage, ber and capacity with the asymptote."""
+    path = write_config(tmp_path_factory.mktemp("fresh"),
+                        "link.gamma_bar_db = 0,10\nlink.n_elements = 4\n"
+                        "sweep.metrics = outage,ber,capacity\nsweep.include_asymptotic = true\n"
+                        "mc.samples = 1000\nmc.workers = 1\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, path], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    got = json.loads(proc.stdout)
-    assert got["before"] == []
+    return json.loads(proc.stdout), path
+
+
+def test_quadrature_stack_loads_only_when_a_run_integrates(fresh_process):
+    # Validation, closed forms and Monte Carlo never integrate, so a fresh
+    # process that only runs them does not pay for importing scipy's
+    # quadrature and optimizer packages.
+    got, path = fresh_process
     assert got["after"] == ["scipy.integrate", "scipy.optimize"]
     v = cli.validate_config(path).variants[0]
     want, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
     assert got["value"] == want
+
+
+def test_no_scipy_module_loads_until_a_run_integrates(fresh_process):
+    # The special functions of the closed forms, the asymptote, Monte Carlo
+    # and the confidence interval are the package's own or the stdlib's.
+    got, _ = fresh_process
+    assert got["before"] == []

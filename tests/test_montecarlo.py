@@ -118,6 +118,17 @@ class TestConfidenceInterval:
         assert hi - lo == pytest.approx(2 * Z_95 * e.stderr, rel=1e-12)
         assert (lo + hi) / 2 == pytest.approx(e.mean, rel=1e-12)
 
+    # scipy.special.ndtri(0.5 (1 + level)), stored.
+    NDTRI = {0.5: 0.6744897501960817, 0.9: 1.6448536269514722, 0.95: 1.959963984540054,
+             0.99: 2.5758293035489004, 0.999: 3.2905267314919255,
+             0.999999999: 6.1094101916632875}
+
+    @pytest.mark.parametrize("level", sorted(NDTRI))
+    def test_quantile_matches_ndtri(self, level):
+        e = montecarlo.McEstimate("moment", "", 0, {0: (64, 0.0, 4096.0)})  # mean 0, stderr 1
+        lo, hi = montecarlo.confidence_interval(e, level)
+        assert hi == -lo == pytest.approx(self.NDTRI[level], rel=5e-16)
+
     def test_widens_with_level(self, turb, geo, cfg):
         e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=5)
         w90 = np.diff(montecarlo.confidence_interval(e, 0.90))
@@ -203,6 +214,20 @@ class TestEstimateGrid:
                 assert grid[kind][gb].mean == solo.mean
                 assert grid[kind][gb].sum_sq == solo.sum_sq
                 assert grid[kind][gb].fingerprint == solo.fingerprint
+
+    def test_block_sums_are_those_of_each_gamma_bar_alone(self, turb, geo, cfg):
+        # A grid longer than the rows a block evaluates at once, against the
+        # sums of one gamma_bar's values on their own, block by block.
+        kinds = ["outage", "ber_exactQ", "capacity", "moment"]
+        gammas = np.geomspace(0.1, 1e4, montecarlo._GAMMA_CHUNK + 3).tolist()
+        grid = montecarlo.estimate_grid(kinds, turb, geo, cfg, gammas, 8_192, seed=21)
+        for b in range(2):
+            z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(21, b), 4_096)
+            for kind in kinds:
+                for gb in gammas:
+                    vals = analytic.metric_value(kind, gb * z, gamma_th=cfg.gamma_th, psi=cfg.psi)
+                    assert grid[kind][gb].block_stats[b] == (
+                        4_096, float(np.sum(vals)), float(np.sum(vals * vals)))
 
     # N = 300 draws each block in two element chunks, the second partial.
     @pytest.mark.parametrize("n_elements", [16, 300])

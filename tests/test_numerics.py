@@ -1,11 +1,55 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from risfso import numerics
 from risfso.errors import DomainError, UnsupportedDomainError
+
+
+def max_rel_err(got, ref):
+    """Largest relative error where the reference is a normal float."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    normal = ref >= sys.float_info.min
+    return float(np.max(np.abs(got[normal] - ref[normal]) / ref[normal]))
+
+
+class TestErfc:
+    # [0, 27] crosses the three rational ranges and the 26.543 cutoff;
+    # [1e-300, 1e-3] is the tiny-argument end.
+    X = np.concatenate((np.linspace(0.0, 27.0, 1081), np.geomspace(1e-300, 1e-3, 150)))
+    # [0, 30] and far past the point where erfcx(x) is 1 / (x sqrt(pi)).
+    U = np.concatenate((np.linspace(0.0, 30.0, 601), np.geomspace(1e-300, 1e150, 600)))
+
+    def test_array_erfc_matches_mpmath(self):
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.erfc(x)) for x in self.X])
+        got = numerics.erfc(self.X)
+        # Below the normal range (x > 26.5) the result is 0.
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=sys.float_info.min)
+        # No less accurate than scipy.special.erfc, 5.6e-14 off on this grid.
+        assert max_rel_err(got, ref) <= max_rel_err(special.erfc(self.X), ref)
+
+    def test_array_erfc_special_values_and_sign(self):
+        got = numerics.erfc(np.array([np.nan, np.inf, -np.inf, 0.0, 30.0]))
+        np.testing.assert_array_equal(got, [np.nan, 0.0, 2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(numerics.erfc(-self.X), 2.0 - numerics.erfc(self.X))
+        np.testing.assert_array_equal(numerics.erfc(self.X[:1080].reshape(40, 27)),
+                                      numerics.erfc(self.X[:1080]).reshape(40, 27))
+        assert numerics.erfc(0.5) == numerics.erfc(np.array([0.5]))[0]
+
+    def test_erfcx_matches_mpmath(self):
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.exp(mpmath.mpf(u) ** 2) * mpmath.erfc(u))
+                            for u in self.U])
+        got = [numerics.erfcx(float(u)) for u in self.U]
+        err = max_rel_err(got, ref)
+        assert err <= 6e-16
+        # No less accurate than scipy.special.erfcx, 7.8e-16 off on this grid.
+        assert err <= max_rel_err(special.erfcx(self.U), ref)
 
 
 class TestParabolicCylinderD:
