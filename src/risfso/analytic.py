@@ -56,10 +56,8 @@ _POLE_SEPARATION = 1e-6
 # interval in outage_probability.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# Quadrature budget of the oracles. The outage oracle integrates to the
-# relative tolerance alone: its value can lie hundreds of decades below
-# any fixed absolute tolerance.
-_ORACLE_ABS_TOL = 1e-14
+# Quadrature budget of the oracles: a relative tolerance alone, since a
+# metric can lie hundreds of decades below any fixed absolute tolerance.
 _ORACLE_REL_TOL = 1e-10
 _ORACLE_LIMIT = 400
 
@@ -297,22 +295,39 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
     return sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
 
 
-# Each non-outage kind's per-realization value g(x), written once over a
-# numeric namespace f: math for the oracle's quadrature, which calls its
-# integrand one float at a time (a numpy ufunc on a scalar costs more than the
-# rest of the step), and _ARRAY for Monte Carlo's sample arrays.
+# Each kind's per-realization value g(x), written once over a numeric
+# namespace f: math for the oracle's quadrature, which calls its integrand one
+# float at a time (a numpy ufunc on a scalar costs more than the rest of the
+# step), and _ARRAY for Monte Carlo's sample arrays. Capacity is log1p(x) / ln 2,
+# since log2(1 + x) rounds 1 + x first (6e-9 relative at x = 1e-8).
+_LN2 = math.log(2.0)
 _FORMS = {
-    "ber_exactQ": lambda f, x, psi, n, s: 0.5 * f.erfc(f.sqrt(psi * x)),
-    "ber_chiani": lambda f, x, psi, n, s: sum(
+    "outage": lambda f, x, th, psi, n, s: (x <= th) * 1.0,
+    "ber_exactQ": lambda f, x, th, psi, n, s: 0.5 * f.erfc(f.sqrt(psi * x)),
+    "ber_chiani": lambda f, x, th, psi, n, s: sum(
         w * f.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)),
-    "capacity": lambda f, x, psi, n, s: f.log2(1.0 + x),
-    "moment": lambda f, x, psi, n, s: x ** n,
-    "mgf": lambda f, x, psi, n, s: f.exp(-s * x),
+    "capacity": lambda f, x, th, psi, n, s: f.log1p(x) / _LN2,
+    "moment": lambda f, x, th, psi, n, s: x ** n,
+    "mgf": lambda f, x, th, psi, n, s: f.exp(-s * x),
 }
-_ARRAY = SimpleNamespace(erfc=numerics.erfc, sqrt=np.sqrt, exp=np.exp, log2=np.log2)
+_ARRAY = SimpleNamespace(erfc=numerics.erfc, sqrt=np.sqrt, exp=np.exp, log1p=np.log1p)
 
 # The metrics that are the mean of a per-realization value of the SNR.
-METRIC_KINDS = ("outage", *_FORMS)
+METRIC_KINDS = tuple(_FORMS)
+
+
+def _check(kind: str, gamma_th: Optional[float], psi: float, n: int, s: float) -> None:
+    """Raise DomainError where the kind's closed form rejects its parameters."""
+    if kind not in _FORMS:
+        raise DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
+    if kind == "outage" and gamma_th is None:
+        raise DomainError("outage requires gamma_th")
+    if kind in ("ber_exactQ", "ber_chiani") and not psi > 0:
+        raise DomainError("psi must be positive")
+    if kind == "mgf" and s < 0:
+        raise DomainError("mgf requires s >= 0")
+    if kind == "moment" and n < 0:
+        raise DomainError("moment order must be >= 0")
 
 
 def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float = 1.0):
@@ -322,17 +337,8 @@ def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float =
     two-exponential approximation of that Q; capacity: log2(1 + x);
     moment: x (first order); mgf: exp(-s x) at s = 0.
     """
-    if kind == "outage":
-        if gamma_th is None:
-            raise DomainError("outage requires gamma_th")
-        return np.less_equal(x, gamma_th).astype(float)
-    if kind not in _FORMS:
-        raise _unknown_kind(kind)
-    return _FORMS[kind](_ARRAY, x, psi, 1, 0.0)
-
-
-def _unknown_kind(kind: str) -> DomainError:
-    return DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
+    _check(kind, gamma_th, psi, 1, 0.0)
+    return _FORMS[kind](_ARRAY, x, gamma_th, psi, 1, 0.0)
 
 
 def oracle_metric(
@@ -348,12 +354,13 @@ def oracle_metric(
     """Independent quadrature of a metric's defining integral.
 
     Integrates the kind's _FORMS entry, on math floats, against the Gaussian
-    aggregate-SNR density on [0, inf), outage as the density over
-    [0, gamma_th]; the closed forms above must agree with this to
-    quadrature accuracy.
+    aggregate-SNR density on [0, inf) to a relative tolerance alone; the
+    closed forms above must agree with this to quadrature accuracy. A
+    quadrature that does not converge raises DomainError.
     """
     from scipy import integrate
 
+    _check(kind, gamma_th, psi, n, s)
     if not gamma_bar > 0:
         raise DomainError("gamma_bar must be positive")
     mu = gamma_bar * ms.m
@@ -365,49 +372,28 @@ def oracle_metric(
     if not 0.0 < two_var < math.inf:
         raise DomainError(f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
     norm = math.sqrt(2.0 * math.pi) * sd
-
-    # The Gaussian density on one float: quad calls it once per point, and
-    # a 0-d numpy array costs more than the rest of the step. It uses sd,
-    # not two_var, which is subnormal far below 0 dB and keeps only a few
-    # digits there; t * t overflows to inf where t ** 2 would raise.
-    def density(x: float) -> float:
-        t = (x - mu) / sd
-        return math.exp(-0.5 * t * t) / norm
-
-    if kind == "outage":
-        if gamma_th is None:
-            raise DomainError("outage requires gamma_th")
-        if gamma_th == 0.0:
-            return 0.0, 0.0
-        pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < gamma_th]
-        val, err = integrate.quad(
-            density, 0.0, gamma_th, points=pts or None, epsabs=0.0,
-            epsrel=_ORACLE_REL_TOL, limit=_ORACLE_LIMIT,
-        )
-        return float(val), float(err)
-
-    if kind not in _FORMS:
-        raise _unknown_kind(kind)
-    if kind in ("ber_exactQ", "ber_chiani") and not psi > 0:
-        raise DomainError("psi must be positive")
-    if kind == "mgf" and s < 0:
-        raise DomainError("mgf requires s >= 0")
-    if kind == "moment" and n < 0:
-        raise DomainError("moment order must be >= 0")
     form = _FORMS[kind]
 
+    # Form times Gaussian density on one float: quad calls it once per point,
+    # and a 0-d numpy array costs more than the rest of the step. The density
+    # uses sd, not two_var, which is subnormal far below 0 dB and keeps only a
+    # few digits there; t * t overflows to inf where t ** 2 would raise.
     def integrand(x: float) -> float:
-        return form(math, x, psi, n, s) * density(x)
+        t = (x - mu) / sd
+        return form(math, x, gamma_th, psi, n, s) * math.exp(-0.5 * t * t) / norm
 
-    # Split at the density mode so the adaptive rule sees the mass.
-    cut = max(mu + 12.0 * sd, 16.0 * sd)
-    pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < cut]
-    val1, err1 = integrate.quad(
-        integrand, 0.0, cut, points=pts or None, epsabs=_ORACLE_ABS_TOL,
-        epsrel=_ORACLE_REL_TOL, limit=_ORACLE_LIMIT,
+    # Past end the density is below e^-72 of its peak, and the outage form is
+    # 0 past gamma_th. Split at the density mode so the adaptive rule sees the
+    # mass; a QUADPACK message means the value missed the relative tolerance.
+    end = max(mu + 12.0 * sd, 16.0 * sd)
+    if kind == "outage":
+        end = min(end, gamma_th)
+    pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < end]
+    val, err, _, *message = integrate.quad(
+        integrand, 0.0, end, points=pts or None, epsabs=0.0, epsrel=_ORACLE_REL_TOL,
+        limit=_ORACLE_LIMIT, full_output=1,
     )
-    val2, err2 = integrate.quad(
-        integrand, cut, np.inf, epsabs=_ORACLE_ABS_TOL, epsrel=_ORACLE_REL_TOL,
-        limit=_ORACLE_LIMIT,
-    )
-    return float(val1 + val2), float(err1 + err2)
+    if message:
+        reason = " ".join(message[0].split()).split(". ")[0].rstrip(".")
+        raise DomainError(f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {reason}")
+    return float(val), float(err)

@@ -182,8 +182,7 @@ def estimate_grid(
     if isinstance(metric_kinds, str) or not metric_kinds:
         raise DomainError(f"expected a non-empty list of metric kinds, got {metric_kinds!r}")
     for kind in metric_kinds:
-        if kind not in analytic.METRIC_KINDS:
-            raise analytic._unknown_kind(kind)
+        analytic._check(kind, base_cfg.gamma_th, base_cfg.psi, 1, 0.0)
     if n_samples < MIN_SAMPLES:
         raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
     fingerprints = {gb: _fingerprint(t, g, replace(base_cfg, gamma_bar=gb)) for gb in gamma_bars}

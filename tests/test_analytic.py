@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from risfso import analytic, channel
+from risfso import analytic, channel, cli
 from risfso.errors import DegenerateParametersError, DomainError
 
 ALPHA = 15.0
@@ -491,11 +491,11 @@ class TestOracleMetric:
 class TestOracleFloatForms:
     # 0, the smallest subnormal, then 1e-12 ... 1e300.
     X = np.concatenate(([0.0, 5e-324], np.geomspace(1e-12, 1e300, 313)))
-    PARAMS = [(1.0, 1, 1.0), (187.2, 3, 4.0 / 3.0), (0.05, 7, 1e-3)]  # (psi, n, s)
+    # (th, psi, n, s)
+    PARAMS = [(1.0, 1.0, 1, 1.0), (1e-3, 187.2, 3, 4.0 / 3.0), (1e150, 0.05, 7, 1e-3)]
 
-    def test_every_kind_but_outage_has_a_float_form(self):
-        assert set(analytic._FORMS) == set(analytic.METRIC_KINDS) - {"outage"}
-        assert analytic.METRIC_KINDS == (
+    def test_every_kind_has_a_form(self):
+        assert analytic.METRIC_KINDS == tuple(analytic._FORMS) == (
             "outage", "ber_exactQ", "ber_chiani", "capacity", "moment", "mgf")
 
     @pytest.mark.parametrize("kind", sorted(analytic._FORMS))
@@ -505,13 +505,14 @@ class TestOracleFloatForms:
         # Carlo runs it. The array erfc flushes to 0 the subnormal values
         # math.erfc keeps.
         form = analytic._FORMS[kind]
-        for psi, n, s in self.PARAMS:
+        for th, psi, n, s in self.PARAMS:
             x = self.X[self.X <= 1e300 ** (1.0 / n)] if kind == "moment" else self.X
-            got = [form(math, float(xi), psi, n, s) for xi in x]
-            np.testing.assert_allclose(got, form(analytic._ARRAY, x, psi, n, s), rtol=1e-15,
+            got = [form(math, float(xi), th, psi, n, s) for xi in x]
+            np.testing.assert_allclose(got, form(analytic._ARRAY, x, th, psi, n, s), rtol=1e-15,
                                        atol=sys.float_info.min)
-            got = [form(math, float(xi), psi, 1, 0.0) for xi in self.X]
-            np.testing.assert_allclose(got, analytic.metric_value(kind, self.X, psi=psi),
+            got = [form(math, float(xi), th, psi, 1, 0.0) for xi in self.X]
+            np.testing.assert_allclose(got, analytic.metric_value(kind, self.X, gamma_th=th,
+                                                                  psi=psi),
                                        rtol=1e-15, atol=sys.float_info.min)
 
     def test_exactq_matches_mpmath(self):
@@ -524,4 +525,96 @@ class TestOracleFloatForms:
                 for x in self.X:
                     expected = 0.5 * mpmath.erfc(math.sqrt(psi * x))
                     if expected >= sys.float_info.min:
-                        assert abs(form(math, float(x), psi, 1, 0.0) / expected - 1) <= 1e-15, x
+                        got = form(math, float(x), None, psi, 1, 0.0)
+                        assert abs(got / expected - 1) <= 1e-15, x
+
+    def test_capacity_matches_mpmath(self):
+        # log1p keeps every digit of log2(1 + x) down to the smallest
+        # subnormal, where log2(1.0 + x) would read 0; a subnormal result is
+        # within half its spacing, math.ulp(0.0).
+        form = analytic._FORMS["capacity"]
+        x = self.X[1:]
+        arrays = form(analytic._ARRAY, x, None, 1.0, 1, 0.0)
+        with mpmath.workdps(40):
+            for xi, got_array in zip(x, arrays):
+                expected = mpmath.log1p(mpmath.mpf(float(xi))) / mpmath.log(2)
+                bound = max(1e-15 * expected, mpmath.mpf(math.ulp(0.0)) / 2)
+                assert abs(form(math, float(xi), None, 1.0, 1, 0.0) - expected) <= bound, xi
+                assert abs(got_array - expected) <= bound, xi
+
+
+def _mp_mgf(a, mu, sd):
+    """E[exp(-a x)] over the Gaussian density (mu, sd) on [0, inf), in mpmath."""
+    u = (a * sd - mu / sd) / mpmath.sqrt(2)
+    if u > 1e20:
+        # erfcx(u) to O(u^-4) relative; mpmath's erfc loses its digits past
+        # u ~ 1e100, which Craig's form reaches as its angle goes to 0.
+        erfcx = (1 - 1 / (2 * u * u)) / (u * mpmath.sqrt(mpmath.pi))
+    else:
+        erfcx = mpmath.exp(u * u) * mpmath.erfc(u)
+    return mpmath.exp(-mu * mu / (2 * sd * sd)) * erfcx / 2
+
+
+DEFAULT_GEO = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
+DEEP_TAIL_CHANNELS = {
+    "closed-form": (channel.TurbulenceParams(6.5, 6.0), DEFAULT_GEO),
+    "default": (channel.TurbulenceParams(15.0, 10.0), DEFAULT_GEO),
+    "fig5 a15_b10_s1": next((v.turbulence, v.pointing) for v in cli.figure_preset("fig5").variants
+                            if v.label == "a15_b10_s1"),
+}
+
+
+class TestOracleDeepTail:
+    """BER oracles far below any absolute tolerance, against 50-digit mpmath.
+
+    The exact-Q reference is Craig's form (1/pi) int_0^{pi/2} M(psi / sin^2 t) dt
+    and the two-exponential one is (1/12) M(psi) + (1/4) M(4 psi / 3), with M
+    the MGF of the same Gaussian density, so neither integrates over the SNR
+    as the oracle does.
+    """
+
+    @staticmethod
+    def reference(kind, ms, gbar, psi):
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(gbar) * mpmath.mpf(ms.m)
+            sd = mpmath.mpf(gbar) * mpmath.sqrt(mpmath.mpf(ms.delta_sq))
+            if kind == "ber_exactQ":
+                return mpmath.quad(lambda t: _mp_mgf(psi / mpmath.sin(t) ** 2, mu, sd),
+                                   [0, mpmath.pi / 2]) / mpmath.pi
+            return (_mp_mgf(mpmath.mpf(psi), mu, sd) / 12
+                    + _mp_mgf(4 * mpmath.mpf(psi) / 3, mu, sd) / 4)
+
+    @pytest.mark.parametrize("name, n_elements, db, kind, psi, want", [
+        ("closed-form", 128, 40.0, "ber_exactQ", 1.0, 5.274576891204e-15),
+        ("fig5 a15_b10_s1", 256, 30.0, "ber_exactQ", 1.0, 3.039208063920e-25),
+        ("fig5 a15_b10_s1", 256, 30.0, "ber_chiani", 1.0, 3.393917693367e-25),
+        ("fig5 a15_b10_s1", 256, 34.0, "ber_exactQ", 1.0, 9.608295023223e-26),
+        ("fig5 a15_b10_s1", 256, 34.0, "ber_chiani", 1.0, 1.053442473041e-25),
+        ("fig5 a15_b10_s1", 256, 36.0, "ber_exactQ", 1.0, 5.780039436353e-26),
+        ("fig5 a15_b10_s1", 256, 36.0, "ber_chiani", 1.0, 6.308932095725e-26),
+        ("fig5 a15_b10_s1", 256, 40.0, "ber_exactQ", 1.0, 2.196787043828e-26),
+        ("fig5 a15_b10_s1", 256, 40.0, "ber_chiani", 1.0, 2.386930617361e-26),
+        ("default", 128, 32.0, "ber_exactQ", 3000.0, 1.829474320984e-30),
+    ])
+    def test_ber_matches_mpmath(self, name, n_elements, db, kind, psi, want):
+        ms = analytic.moments(*DEEP_TAIL_CHANNELS[name], n_elements)
+        gbar = channel.LinkConfig.db_to_linear(db)
+        ref = float(self.reference(kind, ms, gbar, psi))
+        assert ref == pytest.approx(want, rel=1e-9, abs=0.0)
+        got, _ = analytic.oracle_metric(kind, ms, gbar, psi=psi)
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_capacity_at_tiny_snr_matches_mpmath(self, turb):
+        # A 30 m beam on a 10 cm aperture, N = 1, 0 dB: the mean SNR is about
+        # 6e-10, where log2(1.0 + x) keeps about 8 digits.
+        geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 30.0, 0.1)
+        ms = analytic.moments(turb, geo, 1)
+        with mpmath.workdps(50):
+            mu, sd = mpmath.mpf(ms.m), mpmath.sqrt(mpmath.mpf(ms.delta_sq))
+            cuts = sorted({mpmath.mpf(0), *(mu + k * sd for k in range(-12, 13, 2)
+                                            if mu + k * sd > 0)})
+            ref = float(mpmath.quad(lambda x: mpmath.log1p(x) * mpmath.npdf(x, mu, sd),
+                                    [*cuts, mpmath.inf]) / mpmath.log(2))
+        assert ref == pytest.approx(8.853455992e-10, rel=1e-9, abs=0.0)
+        got, _ = analytic.oracle_metric("capacity", ms, 1.0)
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)

@@ -318,6 +318,22 @@ class TestMainEntry:
         assert rows["moments"]["error"].startswith("mc: ")
         assert all(rows[m]["mc_stderr"] is not None for m in ("outage", "ber", "capacity"))
 
+    def test_oracle_that_does_not_converge_is_a_row_error(self, tmp_path, capsys):
+        # At psi = 3000, 40 dB, N = 128 the exact-Q integrand is a spike at 0 SNR,
+        # far below the density mode, that the quadrature cannot resolve to 1e-10.
+        path = write_config(tmp_path, (
+            "link.psi = 3000\nlink.gamma_bar_db = 40\nlink.n_elements = 128\n"
+            "sweep.metrics = ber\nsweep.include_oracle = true\nsweep.include_mc = false\n"
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        (row,) = json.loads(out)["rows"]
+        assert row["analytic"] is not None and row["oracle"] is None
+        assert row["error"].startswith("oracle: ")
+        assert err == "" and caught == []
+
     def test_closed_form_error_is_a_row_error(self, tmp_path, capsys, monkeypatch):
         def fail(n, ms, gamma_bar):
             raise DomainError("boom")
