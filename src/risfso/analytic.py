@@ -57,9 +57,35 @@ _POLE_SEPARATION = 1e-6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Quadrature budget of the oracles: a relative tolerance alone, since a
-# metric can lie hundreds of decades below any fixed absolute tolerance.
+# metric can lie hundreds of decades below any fixed absolute tolerance, and
+# the most panels one average SNR may be split into.
 _ORACLE_REL_TOL = 1e-10
 _ORACLE_LIMIT = 400
+
+# QUADPACK's 21-point Gauss-Kronrod rule QK21 on [-1, 1] (Piessens et al.,
+# QUADPACK, Springer 1983): the non-negative Kronrod nodes in decreasing
+# order, their weights, and the weights of the embedded 10-point Gauss rule,
+# which uses the odd-numbered nodes only.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208467336170, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+# The 21 nodes in increasing order, and their Kronrod and Gauss weights.
+_QK21_X = np.array([*(-x for x in _XGK[:10]), *reversed(_XGK)])
+_QK21_WK = np.array([*_WGK[:10], *reversed(_WGK)])
+_QK21_WG = np.array([*_WG[:10], *reversed(_WG)])
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _phi(x: float) -> float:
@@ -296,10 +322,10 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
 
 
 # Each kind's per-realization value g(x), written once over a numeric
-# namespace f: math for the oracle's quadrature, which calls its integrand one
-# float at a time (a numpy ufunc on a scalar costs more than the rest of the
-# step), and _ARRAY for Monte Carlo's sample arrays. Capacity is log1p(x) / ln 2,
-# since log2(1 + x) rounds 1 + x first (6e-9 relative at x = 1e-8).
+# namespace f: _ARRAY for the oracle's quadrature nodes and Monte Carlo's
+# samples, both numpy arrays; math gives the same expression on one float.
+# Capacity is log1p(x) / ln 2, since log2(1 + x) rounds 1 + x first (6e-9
+# relative at x = 1e-8).
 _LN2 = math.log(2.0)
 _FORMS = {
     "outage": lambda f, x, th, psi, n, s: (x <= th) * 1.0,
@@ -341,59 +367,139 @@ def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float =
     return _FORMS[kind](_ARRAY, x, gamma_th, psi, 1, 0.0)
 
 
+def _qk21(form, lo, hi, mu, sd) -> Tuple[np.ndarray, np.ndarray]:
+    """QK21 value and QUADPACK error estimate of 2y form(y^2) density(y^2) on
+    each panel [lo, hi] of y = sqrt(x), with that panel's Gaussian density
+    (mu, sd). Row-wise sums keep each panel's bits independent of how many
+    panels share the call."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    y = center[:, None] + half[:, None] * _QK21_X
+    x = y * y
+    # The density uses sd, not the variance, which is subnormal far below
+    # 0 dB and keeps only a few digits there; t * t may overflow to inf.
+    t = (x - mu[:, None]) / sd[:, None]
+    norm = math.sqrt(2.0 * math.pi) * sd[:, None]
+    fx = 2.0 * y * form(x) * np.exp(-0.5 * t * t) / norm
+    resk = (fx * _QK21_WK).sum(axis=1)
+    resg = (fx * _QK21_WG).sum(axis=1)
+    resabs = half * (np.abs(fx) * _QK21_WK).sum(axis=1)
+    resasc = half * (np.abs(fx - 0.5 * resk[:, None]) * _QK21_WK).sum(axis=1)
+    err = np.abs((resk - resg) * half)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float], psi: float,
+                 n: int, s: float) -> list:
+    """oracle_metric on each average SNR: (value, err) or that cell's DomainError."""
+    out: list = [None] * len(gammas)
+    cells, mus, sds, lo, hi, owner = [], [], [], [], [], []
+    for i, gamma_bar in enumerate(gammas):
+        gamma_bar = float(gamma_bar)
+        if not gamma_bar > 0:
+            out[i] = DomainError("gamma_bar must be positive")
+            continue
+        try:
+            two_var = 2.0 * gamma_bar ** 2 * ms.delta_sq
+        except OverflowError:
+            two_var = math.inf
+        if not 0.0 < two_var < math.inf:
+            out[i] = DomainError(
+                f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
+            continue
+        mu, sd = gamma_bar * ms.m, gamma_bar * ms.delta
+        # Past end the density is below e^-72 of its peak, and the outage form
+        # is 0 past gamma_th. The first panels split at the density mode, so
+        # the adaptive rule sees the mass.
+        end = max(mu + 12.0 * sd, 16.0 * sd)
+        if kind == "outage":
+            end = min(end, gamma_th)
+        cuts = [0.0, *(math.sqrt(p) for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < end),
+                math.sqrt(end)]
+        lo += cuts[:-1]
+        hi += cuts[1:]
+        owner += [len(cells)] * (len(cuts) - 1)
+        cells.append((i, gamma_bar))
+        mus.append(mu)
+        sds.append(sd)
+
+    def form(x):
+        return _FORMS[kind](_ARRAY, x, gamma_th, psi, n, s)
+
+    mu, sd = np.array(mus), np.array(sds)
+    lo, hi, owner = np.array(lo), np.array(hi), np.array(owner, dtype=int)
+    with np.errstate(all="ignore"):
+        val, err = _qk21(form, lo, hi, mu[owner], sd[owner])
+        while True:
+            # Per cell: its panels, the sums of their values and errors (added
+            # in panel order, which does not depend on the other cells), and
+            # its panels whose error is above their share of the tolerance.
+            count = np.bincount(owner, minlength=len(cells))
+            total = np.bincount(owner, val, minlength=len(cells))
+            total_err = np.bincount(owner, err, minlength=len(cells))
+            tol = _ORACLE_REL_TOL * np.abs(total)
+            split = err > (tol / np.maximum(count, 1))[owner]
+            done = (count > 0) & (total_err <= tol)
+            broken = (count > 0) & ~done & ~(np.isfinite(total) & np.isfinite(total_err))
+            # A cell over its tolerance has a panel over its share, but for
+            # rounding; without one it could not progress.
+            full = (count > 0) & ~done & ~broken & (
+                (count >= _ORACLE_LIMIT) | (np.bincount(owner, split, minlength=len(cells)) == 0))
+            for c in np.flatnonzero(done | broken | full):
+                i, gamma_bar = cells[c]
+                if done[c]:
+                    out[i] = (float(total[c]), float(total_err[c]))
+                    continue
+                reason = ("the integral is not finite" if broken[c] else
+                          f"{_ORACLE_LIMIT} panels do not reach the relative tolerance "
+                          f"{_ORACLE_REL_TOL:g}")
+                out[i] = DomainError(f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {reason}")
+            # Bisect the open cells' panels over their share, in one evaluation.
+            open_ = ~(done | broken | full)[owner]
+            if not open_.any():
+                break
+            split &= open_
+            keep = open_ & ~split
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+            new_owner = np.tile(owner[split], 2)
+            new_val, new_err = _qk21(form, new_lo, new_hi, mu[new_owner], sd[new_owner])
+            lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+            owner = np.concatenate((owner[keep], new_owner))
+            val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+    return out
+
+
 def oracle_metric(
     kind: str,
     ms: MomentSummary,
-    gamma_bar: float,
+    gamma_bar,
     *,
     gamma_th: Optional[float] = None,
     psi: float = 1.0,
     n: int = 1,
     s: float = 0.0,
-) -> Tuple[float, float]:
+):
     """Independent quadrature of a metric's defining integral.
 
-    Integrates the kind's _FORMS entry, on math floats, against the Gaussian
-    aggregate-SNR density on [0, inf) to a relative tolerance alone; the
-    closed forms above must agree with this to quadrature accuracy. A
-    quadrature that does not converge raises DomainError.
+    Integrates the kind's _FORMS entry against the Gaussian aggregate-SNR
+    density on [0, inf) to a relative tolerance alone, in y = sqrt(x): the
+    exact-Q form erfc(sqrt(psi x)) has a sqrt(x) endpoint behaviour of width
+    about 1/psi, which is smooth in y. The rule is QUADPACK's QK21, globally
+    adaptive; the closed forms above must agree with it to quadrature accuracy.
+
+    A float gamma_bar gives (value, err) and raises DomainError where the
+    quadrature does not converge. A sequence is integrated in one vectorized
+    pass and gives, per average SNR, the (value, err) the float call would
+    give, bit for bit, or that cell's DomainError; it raises only for a bad
+    kind or parameter.
     """
-    from scipy import integrate
-
     _check(kind, gamma_th, psi, n, s)
-    if not gamma_bar > 0:
-        raise DomainError("gamma_bar must be positive")
-    mu = gamma_bar * ms.m
-    sd = gamma_bar * ms.delta
-    try:
-        two_var = 2.0 * gamma_bar ** 2 * ms.delta_sq
-    except OverflowError:
-        two_var = math.inf
-    if not 0.0 < two_var < math.inf:
-        raise DomainError(f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
-    norm = math.sqrt(2.0 * math.pi) * sd
-    form = _FORMS[kind]
-
-    # Form times Gaussian density on one float: quad calls it once per point,
-    # and a 0-d numpy array costs more than the rest of the step. The density
-    # uses sd, not two_var, which is subnormal far below 0 dB and keeps only a
-    # few digits there; t * t overflows to inf where t ** 2 would raise.
-    def integrand(x: float) -> float:
-        t = (x - mu) / sd
-        return form(math, x, gamma_th, psi, n, s) * math.exp(-0.5 * t * t) / norm
-
-    # Past end the density is below e^-72 of its peak, and the outage form is
-    # 0 past gamma_th. Split at the density mode so the adaptive rule sees the
-    # mass; a QUADPACK message means the value missed the relative tolerance.
-    end = max(mu + 12.0 * sd, 16.0 * sd)
-    if kind == "outage":
-        end = min(end, gamma_th)
-    pts = [p for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < end]
-    val, err, _, *message = integrate.quad(
-        integrand, 0.0, end, points=pts or None, epsabs=0.0, epsrel=_ORACLE_REL_TOL,
-        limit=_ORACLE_LIMIT, full_output=1,
-    )
-    if message:
-        reason = " ".join(message[0].split()).split(". ")[0].rstrip(".")
-        raise DomainError(f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {reason}")
-    return float(val), float(err)
+    if np.ndim(gamma_bar):
+        return _oracle_grid(kind, ms, gamma_bar, gamma_th, psi, n, s)
+    (cell,) = _oracle_grid(kind, ms, [gamma_bar], gamma_th, psi, n, s)
+    if isinstance(cell, DomainError):
+        raise cell
+    return cell

@@ -445,6 +445,7 @@ def run_sweep(spec: SweepSpec) -> Table:
     rows: List[Row] = []
     gammas = [LinkConfig.db_to_linear(db) for db in spec.gamma_bar_db]
     mc_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_mc and METRICS[m][1]]
+    oracle_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_oracle and METRICS[m][1]]
 
     for variant in spec.variants:
         t, g = variant.turbulence, variant.pointing
@@ -465,6 +466,12 @@ def run_sweep(spec: SweepSpec) -> Table:
                 estimates = montecarlo.estimate_grid(
                     mc_kinds, t, g, base_cfg, gammas, spec.mc_samples, spec.seed, spec.workers
                 )
+            # Each oracle cell: (value, err) or its DomainError.
+            oracles = {
+                kind: dict(zip(gammas, analytic.oracle_metric(
+                    kind, ms, gammas, gamma_th=spec.gamma_th, psi=spec.psi)))
+                for kind in oracle_kinds
+            }
 
             for db, gb in zip(spec.gamma_bar_db, gammas):
                 for metric in spec.metrics:
@@ -489,12 +496,11 @@ def run_sweep(spec: SweepSpec) -> Table:
                             row.error = profile_error
                     # The asymptote is the one closed form capped at its range.
                     row.clamp_events = int(row.asymptotic == 1.0)
-                    if spec.include_oracle and kind is not None:
-                        try:
-                            row.oracle, _ = analytic.oracle_metric(
-                                kind, ms, gb, gamma_th=spec.gamma_th, psi=spec.psi)
-                        except RisFsoError as exc:
-                            row.error = row.error or f"oracle: {exc}"
+                    cell = oracles.get(kind, {}).get(gb)
+                    if isinstance(cell, DomainError):
+                        row.error = row.error or f"oracle: {cell}"
+                    elif cell is not None:
+                        row.oracle = cell[0]
                     est = estimates.get(kind, {}).get(gb)
                     if est is not None:
                         row.n_samples = est.n_samples

@@ -473,6 +473,37 @@ class TestOracleMetric:
             got, _ = analytic.oracle_metric("outage", ms, gbar, gamma_th=1.0)
         assert abs(got - analytic.outage_probability(1.0, ms, gbar)) <= 1e-12
 
+    @pytest.mark.parametrize("weights, degree", [("_QK21_WK", 31), ("_QK21_WG", 19)])
+    def test_qk21_rule_is_exact_to_its_degree(self, weights, degree):
+        # Kronrod's 21 nodes integrate x^k exactly for k <= 31, and the Gauss
+        # weights on the 10 odd-numbered ones for k <= 19; a typo in the table
+        # would otherwise show only as slower convergence.
+        x, w = analytic._QK21_X, getattr(analytic, weights)
+        for k in range(degree + 1):
+            assert abs((w * x ** k).sum() - (1 + (-1) ** k) / (k + 1)) <= 1e-15, k
+        assert abs((w * x ** (degree + 1)).sum() - 2 / (degree + 2)) > 1e-12
+
+    def test_grid_cells_equal_float_calls_bit_for_bit(self):
+        # All four sweep kinds on the closed-form channel: each cell's panels
+        # and sums do not depend on the other cells of the call.
+        t, g = channel.TurbulenceParams(6.5, 6.0), DEFAULT_GEO
+        gammas = [channel.LinkConfig.db_to_linear(db) for db in range(41)]
+        for n_elements in (1, 4, 16, 64, 128, 256):
+            ms = analytic.moments(t, g, n_elements)
+            for kind in ("outage", "ber_exactQ", "capacity", "moment"):
+                grid = analytic.oracle_metric(kind, ms, gammas, gamma_th=1.0)
+                assert grid == [analytic.oracle_metric(kind, ms, gb, gamma_th=1.0)
+                                for gb in gammas], (n_elements, kind)
+
+    def test_bad_grid_cell_is_its_own_error(self, ms):
+        # 0 dB, then 3000 dB, where the variance leaves the float range, then a
+        # negative SNR: each bad cell is its own error, and the 0 dB cell is
+        # what a float call gives.
+        first, bad, last = analytic.oracle_metric("ber_exactQ", ms, [1.0, 1e300, -1.0])
+        assert first == analytic.oracle_metric("ber_exactQ", ms, 1.0)
+        assert isinstance(bad, DomainError) and "out of float range" in str(bad)
+        assert isinstance(last, DomainError) and str(last) == "gamma_bar must be positive"
+
     def test_exactq_oracle_limits(self, ms):
         # At vanishing SNR the exact-Q average approaches Q(0) = 1/2
         # while the two-exponential form approaches 1/3; both stay in
@@ -500,10 +531,10 @@ class TestOracleFloatForms:
 
     @pytest.mark.parametrize("kind", sorted(analytic._FORMS))
     def test_matches_metric_value(self, kind):
-        # The form on math floats, as the oracle runs it, against the same form
-        # on numpy arrays, and against metric_value (n = 1, s = 0), as Monte
-        # Carlo runs it. The array erfc flushes to 0 the subnormal values
-        # math.erfc keeps.
+        # The form on math floats, a scalar reference, against the same form
+        # on numpy arrays, as the oracle runs it, and against metric_value
+        # (n = 1, s = 0), as Monte Carlo runs it. The array erfc flushes to 0
+        # the subnormal values math.erfc keeps.
         form = analytic._FORMS[kind]
         for th, psi, n, s in self.PARAMS:
             x = self.X[self.X <= 1e300 ** (1.0 / n)] if kind == "moment" else self.X
@@ -522,10 +553,9 @@ class TestOracleFloatForms:
         form = analytic._FORMS["ber_exactQ"]
         with mpmath.workdps(40):
             for psi in (1.0, 187.2):
-                for x in self.X:
+                for x, got in zip(self.X, form(analytic._ARRAY, self.X, None, psi, 1, 0.0)):
                     expected = 0.5 * mpmath.erfc(math.sqrt(psi * x))
                     if expected >= sys.float_info.min:
-                        got = form(math, float(x), None, psi, 1, 0.0)
                         assert abs(got / expected - 1) <= 1e-15, x
 
     def test_capacity_matches_mpmath(self):
@@ -595,6 +625,12 @@ class TestOracleDeepTail:
         ("fig5 a15_b10_s1", 256, 40.0, "ber_exactQ", 1.0, 2.196787043828e-26),
         ("fig5 a15_b10_s1", 256, 40.0, "ber_chiani", 1.0, 2.386930617361e-26),
         ("default", 128, 32.0, "ber_exactQ", 3000.0, 1.829474320984e-30),
+        # High psi: a spike of width about 1/psi at 0 SNR, smooth in sqrt(SNR).
+        ("default", 128, 32.0, "ber_exactQ", 5000.0, 1.097234554889e-30),
+        ("default", 128, 36.0, "ber_exactQ", 3000.0, 7.278776267985e-31),
+        ("default", 128, 40.0, "ber_exactQ", 500.0, 1.739625314761e-30),
+        ("default", 128, 40.0, "ber_exactQ", 3000.0, 2.897021737429e-31),
+        ("closed-form", 64, 24.0, "ber_exactQ", 1.0, 1.429765996175e-2),
     ])
     def test_ber_matches_mpmath(self, name, n_elements, db, kind, psi, want):
         ms = analytic.moments(*DEEP_TAIL_CHANNELS[name], n_elements)

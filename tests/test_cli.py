@@ -211,6 +211,34 @@ class TestRunSweepAndEmit:
             "ber@a15_b10_s1", "ber@a15_b10_s2", "ber@a6.5_b6_s1"
         }
 
+    def test_oracle_is_one_grid_call_per_kind_and_n(self, tmp_path, monkeypatch):
+        # 3000 dB puts the SNR variance past the float range: that row's
+        # oracle is its own error, and the 0 dB row has a one-SNR call's value.
+        calls = []
+        oracle = analytic.oracle_metric
+
+        def counted(kind, ms, gamma_bar, **kw):
+            calls.append((kind, ms.n_elements, len(gamma_bar)))
+            return oracle(kind, ms, gamma_bar, **kw)
+
+        monkeypatch.setattr(analytic, "oracle_metric", counted)
+        path = write_config(tmp_path, "link.gamma_bar_db = 0,3000\nlink.n_elements = 4,16\n"
+                            "sweep.metrics = outage,capacity\nsweep.include_oracle = true\n"
+                            "sweep.include_mc = false\n")
+        spec = cli.validate_config(path)
+        rows = cli.run_sweep(spec).rows
+        assert calls == [("outage", 4, 2), ("capacity", 4, 2), ("outage", 16, 2),
+                         ("capacity", 16, 2)]
+        for row in rows:
+            if row.gamma_bar_db == 3000.0:
+                assert row.oracle is None and row.error == (
+                    "oracle: SNR variance at gamma_bar = 1e+300 is out of float range")
+            else:
+                v = spec.variants[0]
+                ms = analytic.moments(v.turbulence, v.pointing, row.n_elements)
+                want, _ = oracle(row.metric, ms, 1.0, gamma_th=spec.gamma_th)
+                assert row.error is None and row.oracle == want
+
     def test_each_block_drawn_once_for_all_metrics(self, tmp_path, monkeypatch):
         streams = []
         sample = channel.sample_aggregate
@@ -318,20 +346,32 @@ class TestMainEntry:
         assert rows["moments"]["error"].startswith("mc: ")
         assert all(rows[m]["mc_stderr"] is not None for m in ("outage", "ber", "capacity"))
 
-    def test_oracle_that_does_not_converge_is_a_row_error(self, tmp_path, capsys):
-        # At psi = 3000, 40 dB, N = 128 the exact-Q integrand is a spike at 0 SNR,
-        # far below the density mode, that the quadrature cannot resolve to 1e-10.
-        path = write_config(tmp_path, (
-            "link.psi = 3000\nlink.gamma_bar_db = 40\nlink.n_elements = 128\n"
-            "sweep.metrics = ber\nsweep.include_oracle = true\nsweep.include_mc = false\n"
-        ))
+    HIGH_PSI = ("link.psi = 3000\nlink.gamma_bar_db = 40\nlink.n_elements = 128\n"
+                "sweep.metrics = ber\nsweep.include_oracle = true\nsweep.include_mc = false\n")
+
+    def test_high_psi_oracle_converges(self, tmp_path, capsys):
+        # At psi = 3000, 40 dB, N = 128 the exact-Q integrand is a spike of width
+        # about 1/psi at 0 SNR, far below the density mode; in sqrt(SNR) it is
+        # smooth. 50-digit mpmath of Craig's form reads the same within 2e-16.
+        path = write_config(tmp_path, self.HIGH_PSI)
+        assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["error"] is None
+        assert row["oracle"] == pytest.approx(2.8970217374e-31, rel=1e-10, abs=0.0)
+
+    def test_oracle_that_does_not_converge_is_a_row_error(self, tmp_path, capsys, monkeypatch):
+        # The cell starts with 4 panels, split at mu - 8 sigma, mu and mu + 8
+        # sigma, and needs more; with no more allowed it cannot converge.
+        monkeypatch.setattr(analytic, "_ORACLE_LIMIT", 4)
+        path = write_config(tmp_path, self.HIGH_PSI)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
         out, err = capsys.readouterr()
         (row,) = json.loads(out)["rows"]
         assert row["analytic"] is not None and row["oracle"] is None
-        assert row["error"].startswith("oracle: ")
+        assert row["error"] == ("oracle: ber_exactQ quadrature at gamma_bar = 10000: 4 panels "
+                                "do not reach the relative tolerance 1e-10")
         assert err == "" and caught == []
 
     def test_closed_form_error_is_a_row_error(self, tmp_path, capsys, monkeypatch):
@@ -483,7 +523,7 @@ class TestMainEntry:
 # Run in a fresh interpreter, so sys.modules holds only what risfso loads.
 FRESH_PROCESS = """
 import json, sys
-from risfso import analytic, cli, montecarlo
+from risfso import analytic, channel, cli, montecarlo
 spec = cli.validate_config(sys.argv[1])
 table = cli.run_sweep(spec)
 cli.emit(table, "csv")
@@ -493,8 +533,10 @@ montecarlo.confidence_interval(montecarlo.McEstimate("moment", "", 0, {0: (64, 0
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 v = spec.variants[0]
 value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
-after = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
-print(json.dumps({"before": before, "after": after, "value": value}))
+oracle = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+channel.pdf_b(0.01, v.turbulence, v.pointing)
+pdf_b = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+print(json.dumps({"before": before, "oracle": oracle, "pdf_b": pdf_b, "value": value}))
 """
 
 
@@ -514,11 +556,12 @@ def fresh_process(tmp_path_factory):
 
 
 def test_quadrature_stack_loads_only_when_a_run_integrates(fresh_process):
-    # Validation, closed forms and Monte Carlo never integrate, so a fresh
-    # process that only runs them does not pay for importing scipy's
-    # quadrature and optimizer packages.
+    # Validation, closed forms, Monte Carlo and the oracle (numpy's own
+    # Gauss-Kronrod rule) load no scipy module; pdf_b loads scipy's
+    # quadrature and optimizer packages when it first runs.
     got, path = fresh_process
-    assert got["after"] == ["scipy.integrate", "scipy.optimize"]
+    assert got["oracle"] == []
+    assert got["pdf_b"] == ["scipy.integrate", "scipy.optimize"]
     v = cli.validate_config(path).variants[0]
     want, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
     assert got["value"] == want
