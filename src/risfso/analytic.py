@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -51,10 +50,6 @@ CHIANI_WEIGHTS = (1.0 / 12.0, 1.0 / 4.0)
 CHIANI_RATES = (1.0, 4.0 / 3.0)
 
 _POLE_SEPARATION = 1e-6
-
-# 16-point Gauss-Legendre rule on [-1, 1], for the normal mass of a short
-# interval in outage_probability.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Quadrature budget of the oracles: a relative tolerance alone, since a
 # metric can lie hundreds of decades below any fixed absolute tolerance, and
@@ -183,17 +178,17 @@ def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
 
 
 def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
-    """n-th order amount of fading, E[gamma^n] / E[gamma]^n - 1."""
+    """n-th order amount of fading, E[gamma^n] / E[gamma]^n - 1.
+
+    The ratio does not depend on gamma_bar, so both moments are taken at 1;
+    gamma_bar is kept for the callers that pass every closed form the SNR.
+    """
     if n == 1:
         return 0.0
     try:
-        af = generalized_moment(n, ms, gamma_bar) / generalized_moment(1, ms, gamma_bar) ** n - 1.0
+        return generalized_moment(n, ms, 1.0) / generalized_moment(1, ms, 1.0) ** n - 1.0
     except (OverflowError, ZeroDivisionError):
-        af = math.nan
-    if math.isfinite(af) or gamma_bar == 1.0:
-        return af
-    # The moments left the float range, but their ratio does not depend on gamma_bar.
-    return amount_of_fading(n, ms, 1.0)
+        return math.nan
 
 
 def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> float:
@@ -209,9 +204,10 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
     a, h = -m / d, gamma_th / (gamma_bar * d)
     if h * max(1.0, -a) <= 1.0:
         # Phi(a + h) and Phi(a) share their leading digits here, so their
-        # difference would cancel; integrate the density over [a, a + h].
-        x = a + 0.5 * h * (1.0 + _GL_NODES)
-        return 0.5 * h * float(np.dot(_GL_WEIGHTS, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
+        # difference would cancel; integrate the density over [a, a + h] by
+        # the Kronrod rule of the oracles, exact to degree 31.
+        x = a + 0.5 * h * (1.0 + _QK21_X)
+        return 0.5 * h * float(np.dot(_QK21_WK, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
     # A difference of normal CDFs keeps relative accuracy when both
     # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
     return _phi((gamma_th - m * gamma_bar) / (gamma_bar * d)) - _phi(a)
@@ -321,22 +317,20 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
     return sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
 
 
-# Each kind's per-realization value g(x), written once over a numeric
-# namespace f: _ARRAY for the oracle's quadrature nodes and Monte Carlo's
-# samples, both numpy arrays; math gives the same expression on one float.
-# Capacity is log1p(x) / ln 2, since log2(1 + x) rounds 1 + x first (6e-9
-# relative at x = 1e-8).
+# Each kind's per-realization value g(x) on a numpy array of SNRs: the
+# oracle's quadrature nodes and Monte Carlo's samples. Capacity is
+# log1p(x) / ln 2, since log2(1 + x) rounds 1 + x first (6e-9 relative at
+# x = 1e-8).
 _LN2 = math.log(2.0)
 _FORMS = {
-    "outage": lambda f, x, th, psi, n, s: (x <= th) * 1.0,
-    "ber_exactQ": lambda f, x, th, psi, n, s: 0.5 * f.erfc(f.sqrt(psi * x)),
-    "ber_chiani": lambda f, x, th, psi, n, s: sum(
-        w * f.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)),
-    "capacity": lambda f, x, th, psi, n, s: f.log1p(x) / _LN2,
-    "moment": lambda f, x, th, psi, n, s: x ** n,
-    "mgf": lambda f, x, th, psi, n, s: f.exp(-s * x),
+    "outage": lambda x, th, psi, n, s: (x <= th) * 1.0,
+    "ber_exactQ": lambda x, th, psi, n, s: 0.5 * numerics.erfc(np.sqrt(psi * x)),
+    "ber_chiani": lambda x, th, psi, n, s: sum(
+        w * np.exp(-r * psi * x) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES)),
+    "capacity": lambda x, th, psi, n, s: np.log1p(x) / _LN2,
+    "moment": lambda x, th, psi, n, s: x ** n,
+    "mgf": lambda x, th, psi, n, s: np.exp(-s * x),
 }
-_ARRAY = SimpleNamespace(erfc=numerics.erfc, sqrt=np.sqrt, exp=np.exp, log1p=np.log1p)
 
 # The metrics that are the mean of a per-realization value of the SNR.
 METRIC_KINDS = tuple(_FORMS)
@@ -364,7 +358,7 @@ def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float =
     moment: x (first order); mgf: exp(-s x) at s = 0.
     """
     _check(kind, gamma_th, psi, 1, 0.0)
-    return _FORMS[kind](_ARRAY, x, gamma_th, psi, 1, 0.0)
+    return _FORMS[kind](x, gamma_th, psi, 1, 0.0)
 
 
 def _qk21(form, lo, hi, mu, sd) -> Tuple[np.ndarray, np.ndarray]:
@@ -396,6 +390,10 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
     """oracle_metric on each average SNR: (value, err) or that cell's DomainError."""
     out: list = [None] * len(gammas)
     cells, mus, sds, lo, hi, owner = [], [], [], [], [], []
+    # A form that falls off at x = 0 at this rate is a spike of width 1/rate
+    # there; past x = 729 / rate its erfc and exponentials are below 1e-308.
+    rate = {"ber_exactQ": psi, "ber_chiani": psi, "mgf": s}.get(kind, 0.0)
+    spike = (1.0 / rate, 729.0 / rate) if rate > 0 else ()
     for i, gamma_bar in enumerate(gammas):
         gamma_bar = float(gamma_bar)
         if not gamma_bar > 0:
@@ -411,13 +409,13 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
             continue
         mu, sd = gamma_bar * ms.m, gamma_bar * ms.delta
         # Past end the density is below e^-72 of its peak, and the outage form
-        # is 0 past gamma_th. The first panels split at the density mode, so
-        # the adaptive rule sees the mass.
+        # is 0 past gamma_th. The first panels split at the density mode and
+        # at the edges of the form's spike, so the adaptive rule sees the mass.
         end = max(mu + 12.0 * sd, 16.0 * sd)
         if kind == "outage":
             end = min(end, gamma_th)
-        cuts = [0.0, *(math.sqrt(p) for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd) if 0.0 < p < end),
-                math.sqrt(end)]
+        cuts = [0.0, *sorted(math.sqrt(p) for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd, *spike)
+                             if 0.0 < p < end), math.sqrt(end)]
         lo += cuts[:-1]
         hi += cuts[1:]
         owner += [len(cells)] * (len(cuts) - 1)
@@ -426,7 +424,7 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
         sds.append(sd)
 
     def form(x):
-        return _FORMS[kind](_ARRAY, x, gamma_th, psi, n, s)
+        return _FORMS[kind](x, gamma_th, psi, n, s)
 
     mu, sd = np.array(mus), np.array(sds)
     lo, hi, owner = np.array(lo), np.array(hi), np.array(owner, dtype=int)

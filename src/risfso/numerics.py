@@ -24,7 +24,8 @@ __all__ = ["erfc", "erfcx", "parabolic_cylinder_d", "meijer_g_1330"]
 # denominator) coefficients of each range's rational function, highest power
 # first, with a monic denominator. On |x| <= 0.46875, erf(x) = x R(x^2); on
 # (0.46875, 4], erfcx(x) = R(x); past 4, erfcx(x) = (1/sqrt(pi) - t R(t)) / x
-# with t = 1/x^2. Past 26.543 erfc(x) is below the normal float range.
+# with t = 1/x^2, which is 0 where x^2 overflows, leaving 1/(x sqrt(pi)). Past
+# 26.543 erfc(x) is below the normal float range.
 _ERF_SMALL = (
     (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
      3.77485237685302021e02, 3.20937758913846947e03),
@@ -46,7 +47,6 @@ _ERFCX_BIG = (
      6.05183413124413191e-2, 2.33520497626869185e-3),
 )
 _ERF_SMALL_MAX, _ERFCX_MID_MAX, _ERFC_MAX = 0.46875, 4.0, 26.543
-_ERFCX_ASYMPTOTE = 6.71e7  # past this, erfcx(x) = 1 / (x sqrt(pi)) to rounding
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
@@ -100,9 +100,7 @@ def erfcx(x: float) -> float:
         return math.exp(x * x) * (1.0 - x * _ratio(_ERF_SMALL, x * x))
     if x <= _ERFCX_MID_MAX:
         return _ratio(_ERFCX_MID, x)
-    if x < _ERFCX_ASYMPTOTE:
-        return _erfcx_big(x)
-    return _INV_SQRT_PI / x
+    return _erfcx_big(float(x))  # a numpy float would warn where x * x overflows
 
 # Implemented domain of parabolic_cylinder_d: the integer orders v = -n-1
 # (n <= 11) and arguments z = -m/delta < 0 of the generalized moments.

@@ -50,6 +50,9 @@ class TestErfc:
         assert err <= 6e-16
         # No less accurate than scipy.special.erfcx, 7.8e-16 off on this grid.
         assert err <= max_rel_err(special.erfcx(self.U), ref)
+        # Where x * x overflows: 1 / (x sqrt(pi)), with no warning for a numpy float.
+        for u in (np.float64(1e155), np.float64(1e300), math.inf):
+            assert numerics.erfcx(u) == pytest.approx(1 / (u * math.sqrt(math.pi)), rel=1e-15)
 
 
 class TestParabolicCylinderD:
