@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -56,31 +56,6 @@ _POLE_SEPARATION = 1e-6
 # the most panels one average SNR may be split into.
 _ORACLE_REL_TOL = 1e-10
 _ORACLE_LIMIT = 400
-
-# QUADPACK's 21-point Gauss-Kronrod rule QK21 on [-1, 1] (Piessens et al.,
-# QUADPACK, Springer 1983): the non-negative Kronrod nodes in decreasing
-# order, their weights, and the weights of the embedded 10-point Gauss rule,
-# which uses the odd-numbered nodes only.
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208467336170, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
-       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
-       0.0, 0.295524224714752870173892994651338, 0.0)
-# The 21 nodes in increasing order, and their Kronrod and Gauss weights.
-_QK21_X = np.array([*(-x for x in _XGK[:10]), *reversed(_XGK)])
-_QK21_WK = np.array([*_WGK[:10], *reversed(_WGK)])
-_QK21_WG = np.array([*_WG[:10], *reversed(_WG)])
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 def _phi(x: float) -> float:
@@ -206,8 +181,9 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
         # Phi(a + h) and Phi(a) share their leading digits here, so their
         # difference would cancel; integrate the density over [a, a + h] by
         # the Kronrod rule of the oracles, exact to degree 31.
-        x = a + 0.5 * h * (1.0 + _QK21_X)
-        return 0.5 * h * float(np.dot(_QK21_WK, np.exp(-0.5 * x * x))) / math.sqrt(2.0 * math.pi)
+        x = a + 0.5 * h * (1.0 + numerics._QK21_X)
+        return (0.5 * h * float(np.dot(numerics._QK21_WK, np.exp(-0.5 * x * x)))
+                / math.sqrt(2.0 * math.pi))
     # A difference of normal CDFs keeps relative accuracy when both
     # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
     return _phi((gamma_th - m * gamma_bar) / (gamma_bar * d)) - _phi(a)
@@ -361,30 +337,6 @@ def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float =
     return _FORMS[kind](x, gamma_th, psi, 1, 0.0)
 
 
-def _qk21(form, lo, hi, mu, sd) -> Tuple[np.ndarray, np.ndarray]:
-    """QK21 value and QUADPACK error estimate of 2y form(y^2) density(y^2) on
-    each panel [lo, hi] of y = sqrt(x), with that panel's Gaussian density
-    (mu, sd). Row-wise sums keep each panel's bits independent of how many
-    panels share the call."""
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    y = center[:, None] + half[:, None] * _QK21_X
-    x = y * y
-    # The density uses sd, not the variance, which is subnormal far below
-    # 0 dB and keeps only a few digits there; t * t may overflow to inf.
-    t = (x - mu[:, None]) / sd[:, None]
-    norm = math.sqrt(2.0 * math.pi) * sd[:, None]
-    fx = 2.0 * y * form(x) * np.exp(-0.5 * t * t) / norm
-    resk = (fx * _QK21_WK).sum(axis=1)
-    resg = (fx * _QK21_WG).sum(axis=1)
-    resabs = half * (np.abs(fx) * _QK21_WK).sum(axis=1)
-    resasc = half * (np.abs(fx - 0.5 * resk[:, None]) * _QK21_WK).sum(axis=1)
-    err = np.abs((resk - resg) * half)
-    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
-
-
 def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float], psi: float,
                  n: int, s: float) -> list:
     """oracle_metric on each average SNR: (value, err) or that cell's DomainError."""
@@ -423,50 +375,22 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
         mus.append(mu)
         sds.append(sd)
 
-    def form(x):
-        return _FORMS[kind](x, gamma_th, psi, n, s)
-
     mu, sd = np.array(mus), np.array(sds)
-    lo, hi, owner = np.array(lo), np.array(hi), np.array(owner, dtype=int)
-    with np.errstate(all="ignore"):
-        val, err = _qk21(form, lo, hi, mu[owner], sd[owner])
-        while True:
-            # Per cell: its panels, the sums of their values and errors (added
-            # in panel order, which does not depend on the other cells), and
-            # its panels whose error is above their share of the tolerance.
-            count = np.bincount(owner, minlength=len(cells))
-            total = np.bincount(owner, val, minlength=len(cells))
-            total_err = np.bincount(owner, err, minlength=len(cells))
-            tol = _ORACLE_REL_TOL * np.abs(total)
-            split = err > (tol / np.maximum(count, 1))[owner]
-            done = (count > 0) & (total_err <= tol)
-            broken = (count > 0) & ~done & ~(np.isfinite(total) & np.isfinite(total_err))
-            # A cell over its tolerance has a panel over its share, but for
-            # rounding; without one it could not progress.
-            full = (count > 0) & ~done & ~broken & (
-                (count >= _ORACLE_LIMIT) | (np.bincount(owner, split, minlength=len(cells)) == 0))
-            for c in np.flatnonzero(done | broken | full):
-                i, gamma_bar = cells[c]
-                if done[c]:
-                    out[i] = (float(total[c]), float(total_err[c]))
-                    continue
-                reason = ("the integral is not finite" if broken[c] else
-                          f"{_ORACLE_LIMIT} panels do not reach the relative tolerance "
-                          f"{_ORACLE_REL_TOL:g}")
-                out[i] = DomainError(f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {reason}")
-            # Bisect the open cells' panels over their share, in one evaluation.
-            open_ = ~(done | broken | full)[owner]
-            if not open_.any():
-                break
-            split &= open_
-            keep = open_ & ~split
-            mid = 0.5 * (lo[split] + hi[split])
-            new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-            new_owner = np.tile(owner[split], 2)
-            new_val, new_err = _qk21(form, new_lo, new_hi, mu[new_owner], sd[new_owner])
-            lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-            owner = np.concatenate((owner[keep], new_owner))
-            val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+
+    def integrand(y, owner):
+        x, cell_sd = y * y, sd[owner][:, None]
+        # The density uses sd, not the variance, which is subnormal far below
+        # 0 dB and keeps only a few digits there; t * t may overflow to inf.
+        t = (x - mu[owner][:, None]) / cell_sd
+        norm = math.sqrt(2.0 * math.pi) * cell_sd
+        return 2.0 * y * _FORMS[kind](x, gamma_th, psi, n, s) * np.exp(-0.5 * t * t) / norm
+
+    val, err, why = numerics.integrate_qk21(
+        integrand, np.array(lo), np.array(hi), np.array(owner, dtype=int), len(cells),
+        _ORACLE_REL_TOL, _ORACLE_LIMIT)
+    for (i, gamma_bar), v, e, w in zip(cells, val, err, why):
+        out[i] = (float(v), float(e)) if w is None else DomainError(
+            f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {w}")
     return out
 
 

@@ -298,16 +298,9 @@ def pdf_b(x, t: TurbulenceParams, geo: PointingGeometry):
     a, b, c, a0 = t.alpha, t.beta, geo.c, geo.a0
     pref = a * b * c / (2.0 * math.gamma(a) * math.gamma(b) * a0)
     bees = (c - 1.0, a - 1.0, b - 1.0)
-
-    def one(xi: float) -> float:
-        if not 0.0 < xi < math.inf:
-            raise DomainError(f"pdf_b requires finite x > 0, got {xi}")
-        g = numerics.meijer_g_1330(c, bees, a * b * math.sqrt(xi) / a0)
-        return pref / math.sqrt(xi) * g
-
-    if np.isscalar(x):
-        return one(float(x))
-    return np.array([one(float(xi)) for xi in np.asarray(x).ravel()]).reshape(
-        np.shape(x)
-    )
-
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs > 0.0) & (xs < math.inf))
+    if bad.any():
+        raise DomainError(f"pdf_b requires finite x > 0, got {xs[bad][0]}")
+    root = np.sqrt(xs)
+    return pref / root * numerics.meijer_g_1330(c, bees, a * b * root / a0)

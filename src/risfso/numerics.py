@@ -1,12 +1,15 @@
-"""Special-function kernel.
+"""Special-function kernel and the package's one quadrature rule.
 
 Everything here is pure and reentrant. erfc on arrays and erfcx on floats are
 Cody's rational approximations, so that no scipy module loads with the
 package. The parabolic cylinder function is taken by a recurrence in its
-order, with no quadrature. The Meijer G evaluator is one Bessel-K integral
-taken by adaptive quadrature rather than a residue series, so
-integer-coincident pole differences (which the default turbulence parameters
-produce) need no case analysis.
+order, with no quadrature. integrate_qk21 is QUADPACK's globally adaptive
+QK21 Gauss-Kronrod rule in numpy, over many integrals in one vectorized pass;
+the oracles of analytic use it, and so does the Meijer G evaluator. That is
+one Bessel-K integral rather than a residue series, so integer-coincident
+pole differences (which the default turbulence parameters produce) need no
+case analysis, and an array of arguments is one pass. Its Bessel K (kve) is
+the one scipy function here, imported where it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDomainError
 
-__all__ = ["erfc", "erfcx", "parabolic_cylinder_d", "meijer_g_1330"]
+__all__ = ["erfc", "erfcx", "parabolic_cylinder_d", "integrate_qk21", "meijer_g_1330"]
 
 # Cody (1969), Math. Comp. 23(107), as in his CALERF: (numerator,
 # denominator) coefficients of each range's rational function, highest power
@@ -140,7 +143,98 @@ def parabolic_cylinder_d(v: float, z: float) -> float:
     return d
 
 
-def meijer_g_1330(a1: float, b: Tuple[float, float, float], x: float) -> float:
+# QUADPACK's 21-point Gauss-Kronrod rule QK21 on [-1, 1] (Piessens et al.,
+# QUADPACK, Springer 1983): the non-negative Kronrod nodes in decreasing
+# order, their weights, and the weights of the embedded 10-point Gauss rule,
+# which uses the odd-numbered nodes only.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208467336170, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+# The 21 nodes in increasing order, and their Kronrod and Gauss weights.
+_QK21_X = np.array([*(-x for x in _XGK[:10]), *reversed(_XGK)])
+_QK21_WK = np.array([*_WGK[:10], *reversed(_WGK)])
+_QK21_WG = np.array([*_WG[:10], *reversed(_WG)])
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _qk21(f, lo, hi, owner) -> Tuple[np.ndarray, np.ndarray]:
+    """QK21 value and QUADPACK error estimate of f on each panel [lo, hi]; f(y, owner)
+    gives the integrand on the (panel, node) array y, whose rows are owned by owner.
+    Row-wise sums keep each panel's bits independent of how many panels share the call."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = f(center[:, None] + half[:, None] * _QK21_X, owner)
+    resk = (fx * _QK21_WK).sum(axis=1)
+    resg = (fx * _QK21_WG).sum(axis=1)
+    resabs = half * (np.abs(fx) * _QK21_WK).sum(axis=1)
+    resasc = half * (np.abs(fx - 0.5 * resk[:, None]) * _QK21_WK).sum(axis=1)
+    err = np.abs((resk - resg) * half)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def integrate_qk21(f, lo, hi, owner, n_cells: int, rel_tol: float, limit: int):
+    """Globally adaptive QK21 (QUADPACK's QAG) of n_cells integrals at once.
+
+    Cell c is the integral of f (as _qk21 takes it) over the panels [lo, hi]
+    whose owner is c. Each round bisects, in one evaluation, every panel of an
+    open cell whose error is above its share of rel_tol |value|. Returns per
+    cell the value, the error estimate and None, or why the cell stopped short:
+    its value or error is not finite, or limit panels do not reach rel_tol. A
+    cell's bits do not depend on the other cells of the call.
+    """
+    value, error, why = np.zeros(n_cells), np.zeros(n_cells), [None] * n_cells
+    with np.errstate(all="ignore"):
+        val, err = _qk21(f, lo, hi, owner)
+        while True:
+            # Per cell: its panels, the sums of their values and errors (added
+            # in panel order, which does not depend on the other cells), and
+            # its panels whose error is above their share of the tolerance.
+            count = np.bincount(owner, minlength=n_cells)
+            total = np.bincount(owner, val, minlength=n_cells)
+            total_err = np.bincount(owner, err, minlength=n_cells)
+            tol = rel_tol * np.abs(total)
+            split = err > (tol / np.maximum(count, 1))[owner]
+            done = (count > 0) & (total_err <= tol)
+            broken = (count > 0) & ~done & ~(np.isfinite(total) & np.isfinite(total_err))
+            # A cell over its tolerance has a panel over its share, but for
+            # rounding; without one it could not progress.
+            full = (count > 0) & ~done & ~broken & (
+                (count >= limit) | (np.bincount(owner, split, minlength=n_cells) == 0))
+            ended = done | broken | full
+            value[ended], error[ended] = total[ended], total_err[ended]
+            for c in (broken | full).nonzero()[0]:
+                why[c] = ("the integral is not finite" if broken[c] else
+                          f"{limit} panels do not reach the relative tolerance {rel_tol:g}")
+            # Bisect the open cells' panels over their share, in one evaluation.
+            open_ = ~ended[owner]
+            if not open_.any():
+                return value, error, why
+            split &= open_
+            keep = open_ & ~split
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+            new_owner = np.concatenate((owner[split], owner[split]))
+            new_val, new_err = _qk21(f, new_lo, new_hi, new_owner)
+            lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+            owner = np.concatenate((owner[keep], new_owner))
+            val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+
+
+def meijer_g_1330(a1: float, b: Tuple[float, float, float], x):
     """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real parameters, a1 > b1 and 0 < x < inf.
 
     Gamma(b1+s) / Gamma(a1+s) and Gamma(b2+s) Gamma(b3+s) are the Mellin transforms
@@ -149,33 +243,55 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x: float) -> float:
     with lam = b2 + b3 - 2 b1 - 1 and f(u) = u^(lam+1) K_{b2-b3}(u). ln f is concave in
     ln u, peaks below u = lam + 1 and falls with slope below -1/2 past u = 2 (lam + 1),
     so one quadrature in s = ln(u / 2 sqrt(x)), relative to the peak of f, ends e^40 below it.
+
+    x may be an array: every element is integrated in one vectorized pass, and
+    gives the float call's value bit for bit.
     """
-    from scipy import integrate, optimize
     from scipy.special import kve
 
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"meijer_g_1330 requires finite x > 0, got {x}")
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs > 0.0) & (xs < math.inf))
+    if bad.any():
+        raise DomainError(f"meijer_g_1330 requires finite x > 0, got {xs[bad][0]}")
     b1, b2, b3 = b
     if not a1 > b1:
         raise UnsupportedDomainError(f"meijer_g_1330 implemented for a1 > b1, got {a1} <= {b1}")
     lam = b2 + b3 - 2.0 * b1 - 1.0
-    u0 = 2.0 * math.sqrt(x)
-    log_u0, log_end = math.log(u0), math.log(max(u0, 2.0 * lam + 2.0) + 80.0)
+    x = xs.ravel()
+    u0 = 2.0 * np.sqrt(x)
+    log_u0, log_end = np.log(u0), np.log(np.maximum(u0, 2.0 * lam + 2.0) + 80.0)
 
     def log_f(log_u):
-        return (lam + 1.0) * log_u - math.exp(log_u) + math.log(kve(b2 - b3, math.exp(log_u)))
+        return (lam + 1.0) * log_u - np.exp(log_u) + np.log(kve(b2 - b3, np.exp(log_u)))
 
-    if not math.isfinite(log_f(log_u0) + log_f(log_end)):
-        raise UnsupportedDomainError(f"meijer_g_1330: K_{b2 - b3:g} is out of range at x={x:g}")
-    log_peak = log_u0
-    if lam + 1.0 > u0:
-        log_peak = optimize.minimize_scalar(lambda t: -log_f(t), method="bounded",
-                                            bounds=(log_u0, math.log(lam + 1.0))).x
-    ref = log_f(log_peak)
+    with np.errstate(all="ignore"):
+        out_of_range = ~np.isfinite(log_f(log_u0) + log_f(log_end))
+        if out_of_range.any():
+            raise UnsupportedDomainError(
+                f"meijer_g_1330: K_{b2 - b3:g} is out of range at x={x[out_of_range][0]:g}")
+        # The peak of f does not depend on x; past u0 it sets the scale and
+        # splits the range in two panels. A grid point where K overflows is no peak.
+        log_peak = log_u0
+        if lam + 1.0 > 0.0:
+            grid = math.log(lam + 1.0) + 0.625 * np.arange(-64.0, 1.0)  # 65 points, 40 wide
+            at = log_f(grid)
+            log_peak = np.maximum(log_u0, grid[np.argmax(np.where(np.isfinite(at), at, -np.inf))])
+        ref = log_f(log_peak)
 
-    def integrand(s):
-        return math.exp(log_f(log_u0 + s) - ref) * (-math.expm1(-2.0 * s)) ** (a1 - b1 - 1.0)
+    def integrand(s, owner):
+        return (np.exp(log_f(log_u0[owner][:, None] + s) - ref[owner][:, None])
+                * (-np.expm1(-2.0 * s)) ** (a1 - b1 - 1.0))
 
-    total, _ = integrate.quad(integrand, 0.0, log_end - log_u0, epsabs=0.0, epsrel=1e-12)
-    log_scale = b1 * math.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
-    return math.exp(log_scale) * total
+    cut, width, two = log_peak - log_u0, log_end - log_u0, log_peak > log_u0
+    lo = np.concatenate((np.zeros(len(x)), cut[two]))
+    hi = np.concatenate((np.where(two, cut, width), width[two]))
+    owner = np.concatenate((np.arange(len(x)), np.flatnonzero(two)))
+    total, _, why = integrate_qk21(integrand, lo, hi, owner, len(x), 1e-12, 400)
+    log_scale = b1 * np.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
+    g = np.exp(log_scale) * total
+    # Far past the peak the integrand keeps only the digits that ln u0 + s keeps, so
+    # the quadrature can stop short; there the scale underflows and G is 0 anyway.
+    for xi, w, gi in zip(x, why, g):
+        if w is not None and gi != 0.0:
+            raise UnsupportedDomainError(f"meijer_g_1330 quadrature at x={xi:g}: {w}")
+    return g.reshape(xs.shape)[()]

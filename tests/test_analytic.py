@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from risfso import analytic, channel, cli
+from risfso import analytic, channel, cli, numerics
 from risfso.errors import DegenerateParametersError, DomainError
 
 ALPHA = 15.0
@@ -475,7 +475,7 @@ class TestOracleMetric:
         # Kronrod's 21 nodes integrate x^k exactly for k <= 31, and the Gauss
         # weights on the 10 odd-numbered ones for k <= 19; a typo in the table
         # would otherwise show only as slower convergence.
-        x, w = analytic._QK21_X, getattr(analytic, weights)
+        x, w = numerics._QK21_X, getattr(numerics, weights)
         for k in range(degree + 1):
             assert abs((w * x ** k).sum() - (1 + (-1) ** k) / (k + 1)) <= 1e-15, k
         assert abs((w * x ** (degree + 1)).sum() - 2 / (degree + 2)) > 1e-12

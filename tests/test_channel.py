@@ -151,6 +151,10 @@ class TestRandomStream:
         assert not np.array_equal(a, b)
 
 
+# The 100-point x grid of the benchmark's pdf_b pass.
+PDF_B_GRID = np.geomspace(1e-6, 0.05, 100)
+
+
 @pytest.fixture(scope="module")
 def turb():
     return channel.TurbulenceParams(alpha=15.0, beta=10.0)
@@ -299,6 +303,22 @@ class TestDensities:
     def test_pdf_b_rejects_nonpositive(self, turb, geo):
         with pytest.raises(DomainError):
             channel.pdf_b(0.0, turb, geo)
+
+    @pytest.mark.parametrize("alpha,beta", [(15.0, 10.0), (6.5, 6.0)])
+    @pytest.mark.parametrize("shape", [(100,), (4, 25)])
+    def test_pdf_b_array_equals_float_calls_bit_for_bit(self, geo, alpha, beta, shape):
+        t = channel.TurbulenceParams(alpha=alpha, beta=beta)
+        got = channel.pdf_b(PDF_B_GRID.reshape(shape), t, geo)
+        assert got.shape == shape
+        assert got.ravel().tolist() == [channel.pdf_b(float(x), t, geo) for x in PDF_B_GRID]
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_pdf_b_rejects_a_bad_array_element(self, turb, geo, bad):
+        with pytest.raises(DomainError, match=f"pdf_b requires finite x > 0, got {bad}"):
+            channel.pdf_b(np.array([1e-3, bad, 2e-3]), turb, geo)
+
+    def test_pdf_b_of_empty_array_is_empty(self, turb, geo):
+        assert channel.pdf_b(np.array([]), turb, geo).shape == (0,)
 
     def test_clt_error_shrinks_with_elements(self, turb, geo):
         # KS distance between sampled aggregate SNR and its Gaussian

@@ -557,11 +557,11 @@ def fresh_process(tmp_path_factory):
 
 def test_quadrature_stack_loads_only_when_a_run_integrates(fresh_process):
     # Validation, closed forms, Monte Carlo and the oracle (numpy's own
-    # Gauss-Kronrod rule) load no scipy module; pdf_b loads scipy's
-    # quadrature and optimizer packages when it first runs.
+    # Gauss-Kronrod rule) load no scipy module; pdf_b takes its Meijer G by
+    # the same rule, and loads neither scipy's quadrature nor its optimizer.
     got, path = fresh_process
     assert got["oracle"] == []
-    assert got["pdf_b"] == ["scipy.integrate", "scipy.optimize"]
+    assert got["pdf_b"] == []
     v = cli.validate_config(path).variants[0]
     want, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
     assert got["value"] == want

@@ -188,3 +188,61 @@ class TestMeijerG1330Reference:
     def test_a1_not_above_b1_rejected(self, a1):
         with pytest.raises(UnsupportedDomainError):
             numerics.meijer_g_1330(a1, (2.2, 4.7, 1.3), 1.0)
+
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_array_equals_float_calls_bit_for_bit(self, channel):
+        a1, b = self.CHANNELS[channel]
+        x = np.geomspace(1e-8, 3e4, 25)
+        got = numerics.meijer_g_1330(a1, b, x)
+        assert got.tolist() == [numerics.meijer_g_1330(a1, b, float(xi)) for xi in x]
+        assert isinstance(numerics.meijer_g_1330(a1, b, 1.0), float)
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_array_with_a_bad_element_rejected(self, bad):
+        with pytest.raises(DomainError, match="requires finite x > 0"):
+            numerics.meijer_g_1330(3.2, (1.3, 4.7, 2.2), np.array([0.5, bad, 50.0]))
+
+    def test_underflowed_value_is_zero_where_the_quadrature_stops_short(self):
+        # Past u0 ~ 1e6 the integrand keeps only the digits of u0 + s, so 1e-12
+        # is out of reach; the value there is below the float range.
+        a1, b = self.CHANNELS["closed-form"]
+        assert numerics.meijer_g_1330(a1, b, np.array([1e14, 1e16])).tolist() == [0.0, 0.0]
+
+    def test_empty_array_gives_empty_array(self):
+        assert numerics.meijer_g_1330(3.2, (1.3, 4.7, 2.2), np.array([])).shape == (0,)
+
+
+class TestIntegrateQk21:
+    # Cells (p, c, panel edges) of the integral of c y^p: exact at once, converging,
+    # converging over two panels from a singular end, divergent, and past the
+    # float range.
+    CELLS = [(2.0, 1.0, [0.0, 1.0]), (0.5, 1.0, [0.0, 1.0]), (-0.5, 1.0, [0.0, 0.5, 1.0]),
+             (-1.0, 1.0, [0.0, 1.0]), (0.0, 1e308, [0.0, 10.0])]
+
+    @staticmethod
+    def integrate(cells):
+        p, c = np.array([cell[0] for cell in cells]), np.array([cell[1] for cell in cells])
+        lo, hi, owner = [], [], []
+        for k, (_, _, edges) in enumerate(cells):
+            lo += edges[:-1]
+            hi += edges[1:]
+            owner += [k] * (len(edges) - 1)
+        return numerics.integrate_qk21(lambda y, o: c[o][:, None] * y ** p[o][:, None],
+                                       np.array(lo), np.array(hi), np.array(owner),
+                                       len(cells), 1e-10, 200)
+
+    def test_values_and_reasons(self):
+        value, err, why = self.integrate(self.CELLS)
+        for k, (p, _, _) in enumerate(self.CELLS[:3]):
+            assert value[k] == pytest.approx(1.0 / (p + 1.0), rel=1e-10, abs=0.0)
+            assert err[k] <= 1e-10 * value[k] and why[k] is None
+        assert why[3] == "200 panels do not reach the relative tolerance 1e-10"
+        assert why[4] == "the integral is not finite"
+
+    def test_cell_bits_do_not_depend_on_other_cells(self):
+        together = self.integrate(self.CELLS)
+        for k, cell in enumerate(self.CELLS):
+            value, err, why = self.integrate([cell])
+            np.testing.assert_array_equal(value, together[0][k:k + 1])
+            np.testing.assert_array_equal(err, together[1][k:k + 1])
+            assert why == together[2][k:k + 1]
