@@ -13,7 +13,6 @@ capacity closed forms are its direct consequences.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,8 +117,7 @@ def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> Moment
 
 def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
     """E[exp(-s * gamma)] under the Gaussian aggregate-SNR density."""
-    if s < 0:
-        raise DomainError("mgf requires s >= 0")
+    _check("mgf", s=s)
     if not gamma_bar > 0:
         raise DomainError("gamma_bar must be positive")
     m, d = ms.m, ms.delta
@@ -139,17 +137,18 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
 
 def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     """E[gamma^n] for integer n >= 0 via the parabolic-cylinder closed form."""
-    if n < 0:
-        raise DomainError("moment order must be >= 0")
+    _check("moment", n=n)
     m, d = ms.m, ms.delta
     dv = numerics.parabolic_cylinder_d(-n - 1.0, -m / d)
-    return (
-        (gamma_bar * d) ** n
-        / math.sqrt(2.0 * math.pi)
-        * math.exp(-m * m / (4.0 * d * d))
-        * math.gamma(n + 1)
-        * dv
-    )
+    try:
+        val = ((gamma_bar * d) ** n / math.sqrt(2.0 * math.pi)
+               * math.exp(-m * m / (4.0 * d * d)) * math.gamma(n + 1) * dv)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise DomainError(f"moment of order {n} at gamma_bar = {gamma_bar:g} "
+                          "is past the float range")
+    return val
 
 
 def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
@@ -161,15 +160,17 @@ def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     if n == 1:
         return 0.0
     try:
-        return generalized_moment(n, ms, 1.0) / generalized_moment(1, ms, 1.0) ** n - 1.0
+        af = generalized_moment(n, ms, 1.0) / generalized_moment(1, ms, 1.0) ** n - 1.0
     except (OverflowError, ZeroDivisionError):
-        return math.nan
+        af = math.inf
+    if not math.isfinite(af):
+        raise DomainError(f"amount of fading of order {n} is past the float range")
+    return af
 
 
 def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> float:
     """P(gamma <= gamma_th) under the Gaussian aggregate-SNR density."""
-    if gamma_th < 0:
-        raise DomainError("gamma_th must be non-negative")
+    _check("outage", gamma_th)
     if gamma_th == 0.0:
         return 0.0
     m, d = ms.m, ms.delta
@@ -247,7 +248,8 @@ def asymptotic_outage(
     gamma_bar: float,
 ) -> float:
     """High-SNR power-law outage; exact log-slope -(1 + varrho) N / 20 per dB."""
-    if not gamma_th > 0:
+    _check("outage", gamma_th)
+    if gamma_th == 0.0:
         return 0.0
     rho = profile.varrho
     n = profile.n_elements
@@ -276,20 +278,13 @@ def average_ber(psi: float, ms: MomentSummary, gamma_bar: float) -> float:
     For psi = 1 (BPSK) this is exactly (1/12) M(1) + (1/4) M(4/3); other
     modulation coefficients rescale the two exponential rates.
     """
-    if not psi > 0:
-        raise DomainError("psi must be positive")
+    _check("ber_chiani", psi=psi)
     return sum(w * mgf(r * psi, ms, gamma_bar) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES))
 
 
 def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
-    """Ergodic capacity (bits/channel use) from the exponential log fit."""
-    if ms.m * gamma_bar > CAPACITY_FIT_LIMIT:
-        warnings.warn(
-            "mean SNR exceeds the validity window of the capacity fit; "
-            "prefer oracle_metric('capacity', ...)",
-            UserWarning,
-            stacklevel=2,
-        )
+    """Ergodic capacity (bits/channel use) from the exponential log fit, which
+    holds up to a mean SNR m * gamma_bar of CAPACITY_FIT_LIMIT."""
     return sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
 
 
@@ -312,17 +307,21 @@ _FORMS = {
 METRIC_KINDS = tuple(_FORMS)
 
 
-def _check(kind: str, gamma_th: Optional[float], psi: float, n: int, s: float) -> None:
-    """Raise DomainError where the kind's closed form rejects its parameters."""
+def _check(kind: str, gamma_th: Optional[float] = None, psi: float = 1.0, n: int = 1,
+           s: float = 0.0) -> None:
+    """Raise DomainError where the kind's parameters leave its domain: the one
+    statement of each rule, for the closed forms and the oracle alike."""
     if kind not in _FORMS:
         raise DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
     if kind == "outage" and gamma_th is None:
         raise DomainError("outage requires gamma_th")
+    if kind == "outage" and not gamma_th >= 0:
+        raise DomainError("gamma_th must be non-negative")
     if kind in ("ber_exactQ", "ber_chiani") and not psi > 0:
         raise DomainError("psi must be positive")
-    if kind == "mgf" and s < 0:
+    if kind == "mgf" and not s >= 0:
         raise DomainError("mgf requires s >= 0")
-    if kind == "moment" and n < 0:
+    if kind == "moment" and not n >= 0:
         raise DomainError("moment order must be >= 0")
 
 
@@ -333,7 +332,7 @@ def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float =
     two-exponential approximation of that Q; capacity: log2(1 + x);
     moment: x (first order); mgf: exp(-s x) at s = 0.
     """
-    _check(kind, gamma_th, psi, 1, 0.0)
+    _check(kind, gamma_th, psi)
     return _FORMS[kind](x, gamma_th, psi, 1, 0.0)
 
 

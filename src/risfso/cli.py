@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,18 +54,12 @@ CSV_COLUMNS = (
 GRID_MAX_POINTS = 10_000
 
 
-def _capacity(ms, gamma_bar: float, spec: SweepSpec) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return analytic.channel_capacity(ms, gamma_bar)
-
-
 # Sweep metric -> (closed form of (moments, gamma_bar, spec), the
 # analytic.METRIC_KINDS kind of its Monte Carlo estimate and oracle, or None).
 METRICS = {
     "outage": (lambda ms, gb, spec: analytic.outage_probability(spec.gamma_th, ms, gb), "outage"),
     "ber": (lambda ms, gb, spec: analytic.average_ber(spec.psi, ms, gb), "ber_exactQ"),
-    "capacity": (_capacity, "capacity"),
+    "capacity": (lambda ms, gb, spec: analytic.channel_capacity(ms, gb), "capacity"),
     "af": (lambda ms, gb, spec: analytic.amount_of_fading(2, ms, gb), None),
     "moments": (lambda ms, gb, spec: analytic.generalized_moment(1, ms, gb), "moment"),
 }
@@ -271,6 +264,7 @@ class Row:
     seed: Optional[int] = None
     clamp_events: int = 0
     clt_missing_mass: Optional[float] = None
+    capacity_fit_window_exceeded: Optional[bool] = None
     error: Optional[str] = None
 
 
@@ -487,6 +481,8 @@ def run_sweep(spec: SweepSpec) -> Table:
                         row.analytic = closed_form(ms, gb, spec)
                     except RisFsoError as exc:
                         row.error = str(exc)
+                    if metric == "capacity":
+                        row.capacity_fit_window_exceeded = ms.m * gb > analytic.CAPACITY_FIT_LIMIT
                     if metric == "outage" and spec.include_asymptotic:
                         if profile is not None:
                             row.asymptotic = analytic.asymptotic_outage(

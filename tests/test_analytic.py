@@ -151,6 +151,11 @@ class TestGeneralizedMoment:
         oracle, err = analytic.oracle_metric("moment", ms, gbar, n=n)
         assert got == pytest.approx(oracle, rel=1e-8)
 
+    def test_past_float_range_raises(self, ms):
+        # (gamma_bar * delta)^5 is past the float range at gamma_bar = 1e100.
+        with pytest.raises(DomainError, match="past the float range"):
+            analytic.generalized_moment(5, ms, 1e100)
+
     @pytest.mark.parametrize("n", [-1, 0.5])
     def test_rejects_negative_order(self, ms, n):
         # A fractional order is outside the integer orders D_v is taken at.
@@ -185,6 +190,11 @@ class TestAmountOfFading:
     @pytest.mark.parametrize("gbar", [1e-300, 1e160, 1e300])
     def test_moments_out_of_float_range(self, ms, gbar):
         assert analytic.amount_of_fading(2, ms, gbar) == analytic.amount_of_fading(2, ms, 1.0)
+
+    def test_ratio_past_float_range_raises(self):
+        # E[gamma^3] at gamma_bar = 1 is about delta^3 = 1e450.
+        with pytest.raises(DomainError, match="past the float range"):
+            analytic.amount_of_fading(3, summary(1e-3, 1e300), 1.0)
 
 
 def test_normal_cdf_matches_mpmath():
@@ -404,17 +414,10 @@ class TestChannelCapacity:
         vals = [analytic.channel_capacity(ms, g) for g in (0.01, 0.1, 1.0)]
         assert vals == sorted(vals)
 
-    def test_warns_outside_fit_window(self, ms):
-        gbar = 2.0 * analytic.CAPACITY_FIT_LIMIT / ms.m
-        with pytest.warns(UserWarning):
-            analytic.channel_capacity(ms, gbar)
-
     def test_mgf_past_float_range_raises(self):
         ms = summary(8.942799853405746e155, 1.7641828302060737e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            with pytest.raises(DomainError):
-                analytic.channel_capacity(ms, 2.31126515605057e-145)
+        with pytest.raises(DomainError):
+            analytic.channel_capacity(ms, 2.31126515605057e-145)
 
     def test_tracks_quadrature_in_window(self, ms):
         # Mid-window accuracy of the two-exponential log fit.
@@ -452,11 +455,22 @@ class TestOracleMetric:
         ("mgf", {"s": -1.0}, "mgf requires s >= 0"),
         ("moment", {"n": -1}, "moment order must be >= 0"),
         ("moment", {"n": -2}, "moment order must be >= 0"),
+        ("outage", {"gamma_th": -1.0}, "gamma_th must be non-negative"),
+        ("outage", {"gamma_th": math.nan}, "gamma_th must be non-negative"),
     ])
     def test_rejects_what_the_closed_form_rejects(self, ms, kind, params, message):
-        # Same domain and message as average_ber, mgf and generalized_moment.
+        # Same domain and message as average_ber, mgf, generalized_moment and
+        # outage_probability.
         with pytest.raises(DomainError, match=message):
             analytic.oracle_metric(kind, ms, 1.0, **params)
+
+    @pytest.mark.parametrize("gamma_th", [-1.0, math.nan])
+    def test_outage_closed_forms_reject_a_bad_threshold(self, ms, turb, geo, gamma_th):
+        prof = analytic.asymptotic_profile(turb, geo, ms.n_elements)
+        with pytest.raises(DomainError, match="gamma_th must be non-negative"):
+            analytic.outage_probability(gamma_th, ms, 1.0)
+        with pytest.raises(DomainError, match="gamma_th must be non-negative"):
+            analytic.asymptotic_outage(gamma_th, prof, turb, geo, 1.0)
 
     @pytest.mark.parametrize("n_elements", [1, 4])
     def test_outage_at_subnormal_snr_variance(self, turb, n_elements):

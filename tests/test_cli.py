@@ -193,6 +193,18 @@ class TestRunSweepAndEmit:
             "gamma_bar_db,n_elements,metric,analytic,asymptotic,mc_mean,mc_stderr,oracle,"
             "n_samples,seed")
 
+    def test_capacity_fit_window_is_a_json_field(self, tmp_path):
+        # Default channel at N = 128: m = 0.0176, so the mean SNR m * gamma_bar
+        # is 176 at 40 dB, inside the fit's window, and 1762 at 50 dB, past it.
+        path = write_config(tmp_path, "link.gamma_bar_db = 40,50\n"
+                            "sweep.metrics = outage,capacity\nsweep.include_mc = false\n")
+        table = cli.run_sweep(cli.validate_config(path))
+        got = {(r["metric"], r["gamma_bar_db"]): r["capacity_fit_window_exceeded"]
+               for r in json.loads(cli.emit(table, "json"))["rows"]}
+        assert got == {("capacity", 40.0): False, ("capacity", 50.0): True,
+                       ("outage", 40.0): None, ("outage", 50.0): None}
+        assert "capacity_fit_window_exceeded" not in cli.emit(table, "csv")
+
     def test_clamp_events_mark_the_capped_asymptote(self):
         spec = dataclasses.replace(cli.figure_preset("fig4"), include_mc=False)
         rows = cli.run_sweep(spec).rows
@@ -523,6 +535,8 @@ class TestMainEntry:
 # Run in a fresh interpreter, so sys.modules holds only what risfso loads.
 FRESH_PROCESS = """
 import json, sys
+import risfso
+bare = sorted(m for m in sys.modules if m.startswith("risfso."))
 from risfso import analytic, channel, cli, montecarlo
 spec = cli.validate_config(sys.argv[1])
 table = cli.run_sweep(spec)
@@ -536,7 +550,7 @@ value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.p
 oracle = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 channel.pdf_b(0.01, v.turbulence, v.pointing)
 pdf_b = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
-print(json.dumps({"before": before, "oracle": oracle, "pdf_b": pdf_b, "value": value}))
+print(json.dumps({"bare": bare, "before": before, "oracle": oracle, "pdf_b": pdf_b, "value": value}))
 """
 
 
@@ -553,6 +567,12 @@ def fresh_process(tmp_path_factory):
     proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, path], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout), path
+
+
+def test_package_import_loads_no_module(fresh_process):
+    # risfso re-exports nothing; each caller imports the module it uses.
+    got, _ = fresh_process
+    assert got["bare"] == []
 
 
 def test_quadrature_stack_loads_only_when_a_run_integrates(fresh_process):
