@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import PointingGeometry, TurbulenceParams
+from .channel import PointingGeometry, TurbulenceParams, check_link
 from .errors import DegenerateParametersError, DomainError
 from . import numerics
 
@@ -93,8 +93,7 @@ def _gamma_ratio(a: float, k: int) -> float:
 
 def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> MomentSummary:
     """Mean and variance of B = (h_a h_p)^2, and the N-element aggregate."""
-    if n_elements < 1:
-        raise DomainError("n_elements must be >= 1")
+    check_link(n_elements=n_elements)
     a, b, c, a0 = t.alpha, t.beta, g.c, g.a0
     m1 = c * a0 ** 2 / (c + 2.0) * _gamma_ratio(a, 2) * _gamma_ratio(b, 2)
     second = c * a0 ** 4 / (c + 4.0) * _gamma_ratio(a, 4) * _gamma_ratio(b, 4)
@@ -117,9 +116,7 @@ def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> Moment
 
 def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
     """E[exp(-s * gamma)] under the Gaussian aggregate-SNR density."""
-    _check("mgf", s=s)
-    if not gamma_bar > 0:
-        raise DomainError("gamma_bar must be positive")
+    _check("mgf", s=s, gamma_bar=gamma_bar)
     m, d = ms.m, ms.delta
     u = s * gamma_bar * d / math.sqrt(2.0) - m / (math.sqrt(2.0) * d)
     if u >= 0:
@@ -137,7 +134,7 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
 
 def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     """E[gamma^n] for integer n >= 0 via the parabolic-cylinder closed form."""
-    _check("moment", n=n)
+    _check("moment", n=n, gamma_bar=gamma_bar)
     m, d = ms.m, ms.delta
     dv = numerics.parabolic_cylinder_d(-n - 1.0, -m / d)
     try:
@@ -157,6 +154,7 @@ def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     The ratio does not depend on gamma_bar, so both moments are taken at 1;
     gamma_bar is kept for the callers that pass every closed form the SNR.
     """
+    _check("moment", n=n, gamma_bar=gamma_bar)
     if n == 1:
         return 0.0
     try:
@@ -170,7 +168,7 @@ def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
 
 def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> float:
     """P(gamma <= gamma_th) under the Gaussian aggregate-SNR density."""
-    _check("outage", gamma_th)
+    _check("outage", gamma_th, gamma_bar=gamma_bar)
     if gamma_th == 0.0:
         return 0.0
     m, d = ms.m, ms.delta
@@ -213,6 +211,7 @@ def asymptotic_profile(
     single-residue coefficient does not exist. The coefficient is kept
     as a logarithm, since its Gamma factors overflow for large exponents.
     """
+    check_link(n_elements=n_elements)
     b = (g.c - 1.0, t.alpha - 1.0, t.beta - 1.0)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -248,7 +247,7 @@ def asymptotic_outage(
     gamma_bar: float,
 ) -> float:
     """High-SNR power-law outage; exact log-slope -(1 + varrho) N / 20 per dB."""
-    _check("outage", gamma_th)
+    _check("outage", gamma_th, gamma_bar=gamma_bar)
     if gamma_th == 0.0:
         return 0.0
     rho = profile.varrho
@@ -308,17 +307,15 @@ METRIC_KINDS = tuple(_FORMS)
 
 
 def _check(kind: str, gamma_th: Optional[float] = None, psi: float = 1.0, n: int = 1,
-           s: float = 0.0) -> None:
-    """Raise DomainError where the kind's parameters leave its domain: the one
-    statement of each rule, for the closed forms and the oracle alike."""
+           s: float = 0.0, gamma_bar: Optional[float] = None) -> None:
+    """Raise DomainError where the kind's parameters leave its domain, for the closed
+    forms and the oracle alike; the link rules are check_link's."""
     if kind not in _FORMS:
         raise DomainError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
     if kind == "outage" and gamma_th is None:
         raise DomainError("outage requires gamma_th")
-    if kind == "outage" and not gamma_th >= 0:
-        raise DomainError("gamma_th must be non-negative")
-    if kind in ("ber_exactQ", "ber_chiani") and not psi > 0:
-        raise DomainError("psi must be positive")
+    check_link(gamma_bar=gamma_bar, gamma_th=gamma_th if kind == "outage" else None,
+               psi=psi if kind in ("ber_exactQ", "ber_chiani") else None)
     if kind == "mgf" and not s >= 0:
         raise DomainError("mgf requires s >= 0")
     if kind == "moment" and not n >= 0:
@@ -347,16 +344,13 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
     spike = (1.0 / rate, 729.0 / rate) if rate > 0 else ()
     for i, gamma_bar in enumerate(gammas):
         gamma_bar = float(gamma_bar)
-        if not gamma_bar > 0:
-            out[i] = DomainError("gamma_bar must be positive")
-            continue
         try:
-            two_var = 2.0 * gamma_bar ** 2 * ms.delta_sq
-        except OverflowError:
-            two_var = math.inf
-        if not 0.0 < two_var < math.inf:
-            out[i] = DomainError(
-                f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
+            check_link(gamma_bar=gamma_bar)
+            if not 0.0 < 2.0 * (gamma_bar * gamma_bar) * ms.delta_sq < math.inf:
+                raise DomainError(
+                    f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
+        except DomainError as exc:
+            out[i] = exc
             continue
         mu, sd = gamma_bar * ms.m, gamma_bar * ms.delta
         # Past end the density is below e^-72 of its peak, and the outage form

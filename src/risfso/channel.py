@@ -21,6 +21,7 @@ __all__ = [
     "TurbulenceParams",
     "PointingGeometry",
     "LinkConfig",
+    "check_link",
     "RandomStream",
     "derive_turbulence",
     "sample_h_a",
@@ -205,18 +206,25 @@ class LinkConfig:
     psi: float = 1.0  # 1 BPSK, 0.5 coherent BFSK, 0.75 MSK
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise DomainError("n_elements must be >= 1")
-        if not self.gamma_bar > 0:
-            raise DomainError("gamma_bar must be positive")
-        if self.gamma_th < 0:
-            raise DomainError("gamma_th must be non-negative")
-        if not self.psi > 0:
-            raise DomainError("psi must be positive")
+        check_link(self.n_elements, self.gamma_bar, self.gamma_th, self.psi)
 
     @staticmethod
     def db_to_linear(x_db: float) -> float:
         return 10.0 ** (x_db / 10.0)
+
+
+def check_link(n_elements=None, gamma_bar=None, gamma_th=None, psi=None) -> None:
+    """Raise DomainError where a link parameter that is given (not None) leaves its
+    domain, nan included: the one statement of each rule, which all callers share."""
+    if n_elements is not None and not (isinstance(n_elements, (int, np.integer))
+                                       and n_elements >= 1):
+        raise DomainError("n_elements must be an integer >= 1")
+    if gamma_bar is not None and not gamma_bar > 0:
+        raise DomainError("gamma_bar must be positive")
+    if gamma_th is not None and not gamma_th >= 0:
+        raise DomainError("gamma_th must be non-negative")
+    if psi is not None and not psi > 0:
+        raise DomainError("psi must be positive")
 
 
 @dataclass(frozen=True)

@@ -560,18 +560,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a sweep from a config file")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed")
-    p_sweep.add_argument("--workers")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p_fig = sub.add_parser("figure", help="run a published-figure preset")
     p_fig.add_argument("preset", choices=PRESET_IDS)
     p_fig.add_argument("--mc-samples", default=str(_FIGURE_MC_SAMPLES))
-    p_fig.add_argument("--seed")
-    p_fig.add_argument("--workers")
-    p_fig.add_argument("--out", default=None)
-    p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
+    for p in (p_sweep, p_fig):
+        p.add_argument("--seed")
+        p.add_argument("--workers")
+        p.add_argument("--out", default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("--config", required=True)

@@ -185,6 +185,7 @@ def estimate_grid(
         analytic._check(kind, base_cfg.gamma_th, base_cfg.psi, 1, 0.0)
     if n_samples < MIN_SAMPLES:
         raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
+    # Each replace() builds a LinkConfig, whose check_link rejects a bad gamma_bar.
     fingerprints = {gb: _fingerprint(t, g, replace(base_cfg, gamma_bar=gb)) for gb in gamma_bars}
     grid = list(fingerprints)
     grid_array = np.array(grid)

@@ -95,8 +95,11 @@ class TestMoments:
         assert analytic._gamma_ratio(a, k) == pytest.approx(float(exact), rel=1e-15)
 
     def test_rejects_bad_element_count(self, turb, geo):
-        with pytest.raises(DomainError):
-            analytic.moments(turb, geo, 0)
+        for n_elements in (0, 2.5, math.nan):
+            with pytest.raises(DomainError, match="n_elements must be an integer >= 1"):
+                analytic.moments(turb, geo, n_elements)
+            with pytest.raises(DomainError, match="n_elements must be an integer >= 1"):
+                analytic.asymptotic_profile(turb, geo, n_elements)
 
 
 class TestMgf:
@@ -438,9 +441,25 @@ class TestOracleMetric:
 
     @pytest.mark.parametrize("kind", ["outage", "capacity"])
     def test_rejects_nonpositive_mean_snr(self, ms, kind):
-        for gbar in (0.0, -1.0):
-            with pytest.raises(DomainError):
+        for gbar in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="gamma_bar must be positive"):
                 analytic.oracle_metric(kind, ms, gbar, gamma_th=1.0)
+
+    @pytest.mark.parametrize("gbar", [0.0, -1.0, math.nan])
+    def test_closed_forms_reject_a_bad_mean_snr(self, ms, turb, geo, gbar):
+        # The oracle's rule and message, for every closed form.
+        prof = analytic.asymptotic_profile(turb, geo, ms.n_elements)
+        for closed_form in (
+            lambda: analytic.mgf(1.0, ms, gbar),
+            lambda: analytic.generalized_moment(1, ms, gbar),
+            lambda: analytic.outage_probability(1.0, ms, gbar),
+            lambda: analytic.asymptotic_outage(1.0, prof, turb, geo, gbar),
+            lambda: analytic.amount_of_fading(2, ms, gbar),
+            lambda: analytic.average_ber(1.0, ms, gbar),
+            lambda: analytic.channel_capacity(ms, gbar),
+        ):
+            with pytest.raises(DomainError, match="gamma_bar must be positive"):
+                closed_form()
 
     @pytest.mark.parametrize("gbar", [1e-300, 1e160])
     def test_rejects_snr_variance_out_of_float_range(self, ms, gbar):

@@ -358,11 +358,16 @@ class TestLinkConfig:
         assert channel.LinkConfig.db_to_linear(3.0) == pytest.approx(10 ** 0.3, rel=1e-15)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            channel.LinkConfig(n_elements=0)
-        with pytest.raises(DomainError):
-            channel.LinkConfig(gamma_bar=0.0)
-        with pytest.raises(DomainError):
-            channel.LinkConfig(gamma_th=-1.0)
-        with pytest.raises(DomainError):
-            channel.LinkConfig(psi=0.0)
+        for field, value, message in [
+            ("n_elements", 0, "n_elements must be an integer >= 1"),
+            ("n_elements", 2.5, "n_elements must be an integer >= 1"),
+            ("n_elements", math.nan, "n_elements must be an integer >= 1"),
+            ("n_elements", math.inf, "n_elements must be an integer >= 1"),
+            ("gamma_bar", 0.0, "gamma_bar must be positive"),
+            ("gamma_bar", math.nan, "gamma_bar must be positive"),
+            ("gamma_th", -1.0, "gamma_th must be non-negative"),
+            ("gamma_th", math.nan, "gamma_th must be non-negative"),
+            ("psi", 0.0, "psi must be positive"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                channel.LinkConfig(**{field: value})

@@ -193,6 +193,8 @@ class TestStatisticalConsistency:
             montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10, seed=1)
         with pytest.raises(DomainError):
             montecarlo.estimate_grid([], turb, geo, cfg, [1.0], 2_000, seed=1)
+        with pytest.raises(DomainError, match="gamma_bar must be positive"):
+            montecarlo.estimate_grid(["outage"], turb, geo, cfg, [1.0, -1.0], 2_000, seed=1)
         # A bare string is one kind passed where a list of kinds belongs,
         # not a list of one-letter kinds.
         with pytest.raises(DomainError) as exc:
