@@ -36,6 +36,11 @@ _CONSISTENCY_TOL = 1e-9
 # changes the seed -> sample mapping of every run with more elements.
 _ELEMENT_CHUNK = 256
 
+# Values (512 KiB of float64) that a streamed step of the sampler or of the
+# Monte Carlo evaluation holds at a time. A slice draws from the one generator
+# in stream order, so its size is not part of the seed -> sample mapping.
+_SLICE = 1 << 16
+
 
 @dataclass(frozen=True)
 class TurbulenceProvenance:
@@ -253,12 +258,16 @@ def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size=None):
 
     Drawn as the product of two independent unit-mean Gamma variates
     with shapes alpha and beta, which is exactly the doubly-stochastic
-    construction behind the Gamma-Gamma density.
+    construction behind the Gamma-Gamma density. All alpha variates come
+    first; the beta variates are drawn and multiplied in _SLICE at a time.
     """
     g = _as_generator(rng)
-    x = g.gamma(t.alpha, 1.0 / t.alpha, size)
-    x *= g.gamma(t.beta, 1.0 / t.beta, size)
-    return x
+    x = np.asarray(g.gamma(t.alpha, 1.0 / t.alpha, size))  # 0-d for a scalar draw
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, _SLICE):
+        part = flat[start:start + _SLICE]
+        part *= g.gamma(t.beta, 1.0 / t.beta, part.size)
+    return x[()]
 
 
 def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size=None):
@@ -286,18 +295,27 @@ def sample_aggregate(
     """Draw (Z, gamma) where Z = sum_k (h_a_k h_p_k)^2 and gamma = gamma_bar Z.
 
     The elements are drawn and summed _ELEMENT_CHUNK at a time from the one
-    generator, so memory is O(size * _ELEMENT_CHUNK) for any N; up to that
-    many elements the draws and the sum are those of a single chunk.
+    generator: a chunk's turbulence gains whole, then its pointing gains,
+    squares and row sums one _SLICE of values at a time. So a 4096-sample
+    block holds 4096 x min(N, 256) draws plus one slice for any N, and the
+    slice size is not part of the seed -> sample mapping. Up to
+    _ELEMENT_CHUNK elements the draws and the sum are those of a single
+    chunk. A scalar draw is a one-row block.
     """
     g = _as_generator(rng)
-    lead = () if size is None else (size,)
-    z = 0.0
+    rows = 1 if size is None else size
+    z = np.zeros(rows)
     for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
-        shape = lead + (min(_ELEMENT_CHUNK, cfg.n_elements - start),)
-        h = sample_h_a(t, g, shape)
-        h *= sample_h_p(geo, g, shape)
-        h *= h
-        z = z + np.sum(h, axis=-1)
+        h = sample_h_a(t, g, (rows, min(_ELEMENT_CHUNK, cfg.n_elements - start)))
+        step = max(1, _SLICE // h.shape[1])
+        for r in range(0, rows, step):
+            part = h[r:r + step]
+            part *= sample_h_p(geo, g, part.shape)
+            part *= part
+            z[r:r + step] += np.sum(part, axis=-1)
+        h = part = None  # the next chunk's draw is then the only one held
+    if size is None:
+        z = z[0]
     return z, cfg.gamma_bar * z
 
 

@@ -10,7 +10,8 @@ reproduces bit-identical pooled statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from types import MappingProxyType
@@ -28,11 +29,17 @@ __all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
 BLOCK_SIZE = 4096
 MIN_SAMPLES = 1000
 
-# Average SNRs a block is evaluated at in one array, which bounds each
-# (gamma_bar, sample) temporary to 2 MiB for any grid length.
-_GAMMA_CHUNK = 64
-
 BlockStats = Tuple[int, float, float]  # (count, sum, sum of squares)
+
+# Worker pools by size, kept for the life of the process. glibc gives a new
+# thread a malloc arena of its own when no free one is at hand, and each arena
+# keeps up to a block's memory once the block is done. With a pool per call,
+# how many arenas a run ends up with (and so its peak memory) would depend on
+# when the last call's threads and any other thread happen to exit; a kept
+# pool's threads keep their arenas.
+_POOLS: Dict[int, ThreadPoolExecutor] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOLS.clear)  # a forked child has no threads
 
 
 def _fingerprint(t: TurbulenceParams, g: PointingGeometry, cfg: LinkConfig) -> str:
@@ -194,24 +201,37 @@ def estimate_grid(
         block_id, count = item
         z, _ = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
         out = {}
+        # The (gamma_bar, sample) array is evaluated one channel._SLICE of
+        # values at a time, which bounds each temporary for any grid length;
+        # a row's sums do not depend on how many rows share the call.
+        step = max(1, channel._SLICE // count)
         # A sum past the float range is inf, reported by McEstimate.mean and
         # .stderr. The error state is per thread, so it is set here.
         with np.errstate(over="ignore"):
-            for start in range(0, len(grid), _GAMMA_CHUNK):
-                x = grid_array[start:start + _GAMMA_CHUNK, None] * z
+            for start in range(0, len(grid), step):
+                x = grid_array[start:start + step, None] * z
                 for kind in metric_kinds:
                     vals = analytic.metric_value(kind, x, gamma_th=base_cfg.gamma_th,
                                                  psi=base_cfg.psi)
                     sums = np.sum(vals, axis=-1).tolist()
                     sums_sq = np.sum(vals * vals, axis=-1).tolist()
-                    for gb, s1, s2 in zip(grid[start:start + _GAMMA_CHUNK], sums, sums_sq):
+                    del vals  # so that one kind's values are held at a time
+                    for gb, s1, s2 in zip(grid[start:start + step], sums, sums_sq):
                         out[kind, gb] = (count, s1, s2)
         return block_id, out
 
     plan = _block_plan(n_samples, first_stream)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = dict(pool.map(do_block, plan))
+        pool = _POOLS.get(workers) or _POOLS.setdefault(
+            workers, ThreadPoolExecutor(workers, thread_name_prefix="risfso-mc"))
+        futures = [pool.submit(do_block, item) for item in plan]
+        try:
+            per_block = dict(f.result() for f in futures)
+        finally:
+            # After a failed block, no other block goes on past the call.
+            for f in futures:
+                f.cancel()
+            wait(futures)
     else:
         per_block = dict(map(do_block, plan))
 

@@ -54,13 +54,19 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
 def _ratio(table, t):
-    """Cody's rational function of t (a float or an array), in his order of operations."""
+    """Cody's rational function of t (a float or an array), in his order of operations,
+    in place on two values of t's size."""
     num, den = table
-    p, q = num[0] * t, t
+    p, q = num[0] * t, den[0] * t  # den[0] = 1, so q is t exactly
     for a, b in zip(num[1:-1], den[1:-1]):
-        p = (p + a) * t
-        q = (q + b) * t
-    return (p + num[-1]) / (q + den[-1])
+        p += a
+        p *= t
+        q += b
+        q *= t
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
 
 
 def _erfcx_big(y):
@@ -71,9 +77,20 @@ def _erfcx_big(y):
 def _times_exp_minus_square(y, r):
     """r e^(-y^2) for arrays, with y^2 split as ys^2 + (y - ys)(y + ys), ys = trunc(16 y)/16:
     ys^2 is exact, so the rounding of y^2 (up to 6e-14 of e^(-y^2) at y = 26) is not
-    in the exponent. One exp of the summed exponent would put it back."""
-    ys = np.trunc(16.0 * y) / 16.0
-    return np.exp(-ys * ys) * np.exp(-(y - ys) * (y + ys)) * r
+    in the exponent. One exp of the summed exponent would put it back. Computed in
+    place, in two arrays of y's size beside a temporary."""
+    ys = 16.0 * y
+    np.trunc(ys, out=ys)
+    ys /= 16.0
+    lo = ys - y  # -(y - ys), exactly
+    lo *= y + ys
+    np.exp(lo, out=lo)
+    ys *= ys
+    np.negative(ys, out=ys)
+    np.exp(ys, out=ys)
+    ys *= lo
+    ys *= r
+    return ys
 
 
 def erfc(x):
@@ -84,14 +101,14 @@ def erfc(x):
     y = np.abs(x)
     out = np.where(y >= _ERFC_MAX, 0.0, np.nan)
     small = y <= _ERF_SMALL_MAX
-    ys = y[small]
-    out[small] = 1.0 - ys * _ratio(_ERF_SMALL, ys * ys)
     mid = (y > _ERF_SMALL_MAX) & (y <= _ERFCX_MID_MAX)
-    ys = y[mid]
-    out[mid] = _times_exp_minus_square(ys, _ratio(_ERFCX_MID, ys))
     big = (y > _ERFCX_MID_MAX) & (y < _ERFC_MAX)
-    ys = y[big]
-    out[big] = _times_exp_minus_square(ys, _erfcx_big(ys))
+    # The three subsets are disjoint, so together they hold at most y's size.
+    ys, ym, yb = y[small], y[mid], y[big]
+    del y
+    out[small] = 1.0 - ys * _ratio(_ERF_SMALL, ys * ys)
+    out[mid] = _times_exp_minus_square(ym, _ratio(_ERFCX_MID, ym))
+    out[big] = _times_exp_minus_square(yb, _erfcx_big(yb))
     neg = x < 0.0
     out[neg] = 2.0 - out[neg]
     return out[()]

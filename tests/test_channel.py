@@ -273,6 +273,41 @@ class TestSamplers:
         assert np.shape(z) == np.shape(ref)
         assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
 
+    @pytest.mark.parametrize("size", [None, 1, "slice-1", "slice+1", 1696, 4096])
+    @pytest.mark.parametrize("n_elements", [1, 255, 256, 257, 300, 4096])
+    def test_aggregate_is_the_sum_of_whole_chunk_draws(self, turb, geo, n_elements, size):
+        # The seed -> sample mapping: each chunk of up to 256 elements draws
+        # all its alpha variates, then all its beta variates, then all its
+        # exponentials, from the block's one generator. The row slices the
+        # sampler works in must not show, so sizes end on both sides of one.
+        rows_per_slice = channel._SLICE // min(n_elements, channel._ELEMENT_CHUNK)
+        size = {"slice-1": rows_per_slice - 1, "slice+1": rows_per_slice + 1}.get(size, size)
+        cfg = channel.LinkConfig(n_elements=n_elements)
+        z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
+        g = channel.RandomStream(5, 2).generator()
+        lead = () if size is None else (size,)
+        ref = 0.0
+        for start in range(0, n_elements, 256):
+            shape = lead + (min(256, n_elements - start),)
+            h = g.gamma(turb.alpha, 1.0 / turb.alpha, shape)
+            h *= g.gamma(turb.beta, 1.0 / turb.beta, shape)
+            h *= np.exp(-g.standard_exponential(shape) / geo.c) * geo.a0
+            ref = ref + np.sum(h * h, axis=-1)
+        assert np.shape(z) == np.shape(ref)
+        assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
+
+    def test_aggregate_block_holds_one_chunk_of_draws(self, turb, geo):
+        # 4096 x 256 float64 draws are 8 MiB and one slice is 0.5 MiB; drawing
+        # a chunk's three factors whole held 24 MiB.
+        cfg = channel.LinkConfig(n_elements=4096)
+        tracemalloc.start()
+        try:
+            channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2**20
+
     def test_aggregate_memory_does_not_grow_with_elements(self, turb, geo):
         peaks = {}
         for n in (1024, 8192):

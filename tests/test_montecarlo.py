@@ -6,6 +6,10 @@ merged partitions reproduce the single-pass result bit for bit.
 """
 
 import math
+import os
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,10 +222,10 @@ class TestEstimateGrid:
                 assert grid[kind][gb].fingerprint == solo.fingerprint
 
     def test_block_sums_are_those_of_each_gamma_bar_alone(self, turb, geo, cfg):
-        # A grid longer than the rows a block evaluates at once, against the
-        # sums of one gamma_bar's values on their own, block by block.
+        # A grid longer than the rows a 4096-sample block evaluates at once,
+        # against the sums of one gamma_bar's values on their own, block by block.
         kinds = ["outage", "ber_exactQ", "capacity", "moment"]
-        gammas = np.geomspace(0.1, 1e4, montecarlo._GAMMA_CHUNK + 3).tolist()
+        gammas = np.geomspace(0.1, 1e4, channel._SLICE // 4_096 + 3).tolist()
         grid = montecarlo.estimate_grid(kinds, turb, geo, cfg, gammas, 8_192, seed=21)
         for b in range(2):
             z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(21, b), 4_096)
@@ -230,6 +234,41 @@ class TestEstimateGrid:
                     vals = analytic.metric_value(kind, gb * z, gamma_th=cfg.gamma_th, psi=cfg.psi)
                     assert grid[kind][gb].block_stats[b] == (
                         4_096, float(np.sum(vals)), float(np.sum(vals * vals)))
+
+    @pytest.mark.parametrize("n_gammas", [1, 15, 16, 17, 200])
+    def test_slices_are_invisible(self, turb, geo, n_gammas):
+        # A 4096-sample block is evaluated 16 average SNRs at a time and the
+        # partial 1696-sample block 38 at a time; the grids end before, at and
+        # past a slice edge, and each cell is that of a per-gamma_bar estimate.
+        # One element keeps the 3 x 200 standalone draws cheap; its Z is near
+        # 3e-5, so the grid runs to 1e8 to reach every branch of erfc.
+        cfg = channel.LinkConfig(n_elements=1, gamma_th=1.0)
+        kinds = ["outage", "ber_exactQ", "capacity"]
+        gammas = np.geomspace(1.0, 1e8, n_gammas).tolist()
+        solo = {(kind, gb): montecarlo.estimate(
+                    kind, turb, geo, channel.LinkConfig(1, gb, cfg.gamma_th), 5_792,
+                    seed=24).block_stats
+                for kind in kinds for gb in gammas}
+        for workers in (1, 2):
+            grid = montecarlo.estimate_grid(kinds, turb, geo, cfg, gammas, 5_792, seed=24,
+                                            workers=workers)
+            for kind in kinds:
+                for gb in gammas:
+                    assert dict(grid[kind][gb].block_stats) == dict(solo[kind, gb])
+
+    def test_grid_evaluation_holds_one_slice_of_values(self, turb, geo):
+        # At N = 128 a block's draws are 4 MiB; the (gamma_bar, sample) values
+        # of a 200-SNR grid are 6.25 MiB per kind, evaluated 0.5 MiB at a time.
+        cfg = channel.LinkConfig(n_elements=128)
+        gammas = np.geomspace(0.1, 1e4, 200).tolist()
+        tracemalloc.start()
+        try:
+            montecarlo.estimate_grid(["outage", "ber_exactQ", "capacity"], turb, geo, cfg,
+                                     gammas, 8_192, seed=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
     # N = 300 draws each block in two element chunks, the second partial.
     @pytest.mark.parametrize("n_elements", [16, 300])
@@ -260,3 +299,53 @@ class TestEstimateGrid:
             assert pooled.n_samples == 8_192
             assert pooled.sum == whole["ber_exactQ"][gb].sum
             assert pooled.sum_sq == whole["ber_exactQ"][gb].sum_sq
+
+
+class TestWorkerPool:
+    def test_calls_share_the_pool_threads(self, turb, geo, cfg, monkeypatch):
+        threads = []  # the Thread objects themselves, so no id is reused
+        draw = channel.sample_aggregate
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(channel, "sample_aggregate", recording)
+        for _ in range(3):
+            montecarlo.estimate("outage", turb, geo, cfg, 40_960, seed=3, workers=3)
+        assert len(threads) == 30
+        assert len(set(threads)) <= 3
+        assert threading.main_thread() not in threads
+
+    def test_failed_block_leaves_nothing_running(self, turb, geo, cfg, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            time.sleep(0.01)
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(channel, "sample_aggregate", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            montecarlo.estimate("outage", turb, geo, cfg, 40 * 4_096, seed=3, workers=2)
+        started = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == started < 40
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self, turb, geo, cfg):
+        parent = montecarlo.estimate("outage", turb, geo, cfg, 8_192, seed=4, workers=2)
+        pid = os.fork()
+        if pid == 0:  # the child has the parent's pools but none of their threads
+            try:
+                child = montecarlo.estimate("outage", turb, geo, cfg, 8_192, seed=4, workers=2)
+                os._exit(0 if child.sum == parent.sum else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
