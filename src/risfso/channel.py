@@ -328,5 +328,6 @@ def pdf_b(x, t: TurbulenceParams, geo: PointingGeometry):
     bad = ~((xs > 0.0) & (xs < math.inf))
     if bad.any():
         raise DomainError(f"pdf_b requires finite x > 0, got {xs[bad][0]}")
-    root = np.sqrt(xs)
-    return pref / root * numerics.meijer_g_1330(c, bees, a * b * root / a0)
+    # pref / sqrt(x) goes in as a log: at tiny x the density is a normal float where G is not.
+    return numerics.meijer_g_1330(c, bees, a * b * np.sqrt(xs) / a0,
+                                  log_factor=math.log(pref) - 0.5 * np.log(xs))

@@ -8,8 +8,9 @@ QK21 Gauss-Kronrod rule in numpy, over many integrals in one vectorized pass;
 the oracles of analytic use it, and so does the Meijer G evaluator. That is
 one Bessel-K integral rather than a residue series, so integer-coincident
 pole differences (which the default turbulence parameters produce) need no
-case analysis, and an array of arguments is one pass. Its Bessel K (kve) is
-the one scipy function here, imported where it runs.
+case analysis, and an array of arguments is one pass. Its Bessel K is taken
+in logs here too, by Temme's series and Steed's continued fraction, so no
+module of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -251,7 +252,130 @@ def integrate_qk21(f, lo, hi, owner, n_cells: int, rel_tol: float, limit: int):
             val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
 
 
-def meijer_g_1330(a1: float, b: Tuple[float, float, float], x):
+# Taylor coefficients of 1/Gamma(1 + x) about 0 (mpmath, 40 digits); on |x| <= 1/2 the
+# next one moves the sum by below 4e-18. Their even and odd parts give 1/Gamma(1 +- mu)
+# and Temme's Gamma_1(mu) = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu), which is
+# minus the odd part over mu, so it does not cancel at small mu.
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973, 0.0072189432466631,
+    -0.0011651675918590652, -0.00021524167411495098, 0.0001280502823881162,
+    -2.013485478078824e-05, -1.2504934821426706e-06, 1.133027231981696e-06,
+    -2.056338416977607e-07, 6.116095104481416e-09, 5.002007644469223e-09,
+    -1.18127457048702e-09, 1.0434267116911005e-10, 7.782263439905071e-12,
+    -3.696805618642206e-12, 5.100370287454476e-13)
+# ln 2 as fdlibm splits it: an exponent times _LN2_HI is exact.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _horner(coeffs, t: float) -> float:
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * t + c
+    return out
+
+
+def _temme(mu: float, u):
+    """(ln K_mu(u), K_{mu+1}(u) / K_mu(u)) for |mu| <= 1/2 and 0 < u < 2: Temme's
+    series (J. Comput. Phys. 19, 1975), summed as Numerical Recipes' bessik sums it.
+    Every element takes 12 terms; below u = 2 the 13th is under the sums' rounding."""
+    even = _horner(_RGAMMA_TAYLOR[0::2], mu * mu)
+    odd = _horner(_RGAMMA_TAYLOR[1::2], mu * mu)
+    log_half = np.log(0.5 * u)
+    e = -mu * log_half
+    ee = np.exp(e)
+    sinhc = np.sinh(e) / e if mu else 1.0  # e is 0 only where mu is
+    pi_mu = math.pi * mu
+    f = (pi_mu / math.sin(pi_mu) if mu else 1.0) * (-odd * np.cosh(e) - even * sinhc * log_half)
+    p = 0.5 * ee / (even + mu * odd)
+    q = 0.5 / (ee * (even - mu * odd))
+    k_mu, k_next = f.copy(), p.copy()
+    c = 0.25 * u * u
+    quarter = c.copy()
+    for i in range(1, 13):
+        f *= i
+        f += p
+        f += q
+        f /= i * i - mu * mu
+        p /= i - mu
+        q /= i + mu
+        k_mu += c * f
+        k_next += c * (p - i * f)
+        c *= quarter
+        c /= i + 1
+    return np.log(k_mu), k_next / k_mu / (0.5 * u)
+
+
+def _steed(mu: float, u):
+    """(ln K_mu(u), K_{mu+1}(u) / K_mu(u)) for |mu| < 1/2 and u >= 2: Steed's algorithm
+    for Temme's continued fraction CF2 (Thompson and Barnett, J. Comput. Phys. 64,
+    1986), as Numerical Recipes' bessik runs it. Each element stops at its own
+    convergence, so its bits do not depend on the others. It takes up to 76 steps at
+    u = 2 and fewer above; an element not converged in 100 steps is nan."""
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + u)
+    d = 1.0 / b
+    h, delta_h = d.copy(), d
+    q_prev, q_cur, q = np.zeros_like(u), np.ones_like(u), np.full_like(u, a1)
+    s = 1.0 + a1 * d
+    c, a = a1, -a1
+    s_out, h_out = np.full_like(u, np.nan), np.full_like(u, np.nan)
+    live = np.arange(u.size)
+    for i in range(2, 102):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q_prev, q_cur = q_cur, (q_prev - b * q_cur) / a
+        q = q + c * q_cur
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delta_h = (b * d - 1.0) * delta_h
+        h = h + delta_h
+        ds = q * delta_h
+        s = s + ds
+        done = np.abs(ds) < _EPS * np.abs(s)
+        if done.any():
+            s_out[live[done]], h_out[live[done]] = s[done], h[done]
+            keep = ~done
+            live, b, d, h, delta_h, q_prev, q_cur, q, s = (
+                v[keep] for v in (live, b, d, h, delta_h, q_prev, q_cur, q, s))
+            if not live.size:
+                break
+    return (0.5 * np.log(0.5 * math.pi / u) - u - np.log(s_out),
+            ((mu + 0.5) + u - a1 * h_out) / u)
+
+
+def _log_bessel_k(nu: float, u):
+    """ln K_nu(u), the modified Bessel function of the second kind, for a float nu and
+    an array u in [1e-300, 1e300], where it is finite.
+
+    K is even in nu. At mu = |nu| - round(|nu|), in [-1/2, 1/2], K_mu and K_{mu+1} come
+    from Temme's series below u = 2 and from Steed's CF2 above; for mu = +-1/2 they are
+    elementary (CF2 ends at its first term). The forward recurrence K_{mu+k+1} =
+    K_{mu+k-1} + 2 (mu+k)/u K_{mu+k}, which is stable for K, climbs to nu in ratios,
+    whose product is carried as a mantissa and a power of 2 so that no step overflows."""
+    nu = abs(nu)
+    n = round(nu)
+    mu = nu - n
+    if mu * mu == 0.25:  # K_{+-1/2}(u) = sqrt(pi / 2u) e^-u
+        log_k, ratio = 0.5 * np.log(0.5 * math.pi / u) - u, ((mu + 0.5) + u) / u
+    else:
+        log_k, ratio = np.empty_like(u), np.empty_like(u)
+        small = u < 2.0
+        for part, kernel in ((small, _temme), (~small, _steed)):
+            if part.any():
+                log_k[part], ratio[part] = kernel(mu, u[part])
+    if n:
+        m, e = np.frexp(ratio)
+        for k in range(1, n):
+            ratio = 1.0 / ratio + 2.0 * (mu + k) / u
+            m, step = np.frexp(m * ratio)
+            e += step
+        log_k += np.log(m) + e * _LN2_LO
+        log_k += e * _LN2_HI
+    return log_k
+
+
+def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0):
     """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real parameters, a1 > b1 and 0 < x < inf.
 
     Gamma(b1+s) / Gamma(a1+s) and Gamma(b2+s) Gamma(b3+s) are the Mellin transforms
@@ -262,10 +386,10 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x):
     so one quadrature in s = ln(u / 2 sqrt(x)), relative to the peak of f, ends e^40 below it.
 
     x may be an array: every element is integrated in one vectorized pass, and
-    gives the float call's value bit for bit.
+    gives the float call's value bit for bit. The result is e^log_factor G, with
+    log_factor (a float or an array of x's shape) added to ln G inside the one final
+    exp, so that a factor that takes G out of the float range can bring it back.
     """
-    from scipy.special import kve
-
     xs = np.asarray(x, dtype=float)
     bad = ~((xs > 0.0) & (xs < math.inf))
     if bad.any():
@@ -279,21 +403,15 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x):
     log_u0, log_end = np.log(u0), np.log(np.maximum(u0, 2.0 * lam + 2.0) + 80.0)
 
     def log_f(log_u):
-        return (lam + 1.0) * log_u - np.exp(log_u) + np.log(kve(b2 - b3, np.exp(log_u)))
+        return (lam + 1.0) * log_u + _log_bessel_k(b2 - b3, np.exp(log_u))
 
-    with np.errstate(all="ignore"):
-        out_of_range = ~np.isfinite(log_f(log_u0) + log_f(log_end))
-        if out_of_range.any():
-            raise UnsupportedDomainError(
-                f"meijer_g_1330: K_{b2 - b3:g} is out of range at x={x[out_of_range][0]:g}")
-        # The peak of f does not depend on x; past u0 it sets the scale and
-        # splits the range in two panels. A grid point where K overflows is no peak.
-        log_peak = log_u0
-        if lam + 1.0 > 0.0:
-            grid = math.log(lam + 1.0) + 0.625 * np.arange(-64.0, 1.0)  # 65 points, 40 wide
-            at = log_f(grid)
-            log_peak = np.maximum(log_u0, grid[np.argmax(np.where(np.isfinite(at), at, -np.inf))])
-        ref = log_f(log_peak)
+    # The peak of f does not depend on x; past u0 it sets the scale and
+    # splits the range in two panels.
+    log_peak = log_u0
+    if lam + 1.0 > 0.0:
+        grid = math.log(lam + 1.0) + 0.625 * np.arange(-64.0, 1.0)  # 65 points, 40 wide
+        log_peak = np.maximum(log_u0, grid[np.argmax(log_f(grid))])
+    ref = log_f(log_peak)
 
     def integrand(s, owner):
         return (np.exp(log_f(log_u0[owner][:, None] + s) - ref[owner][:, None])
@@ -304,10 +422,11 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x):
     hi = np.concatenate((np.where(two, cut, width), width[two]))
     owner = np.concatenate((np.arange(len(x)), np.flatnonzero(two)))
     total, _, why = integrate_qk21(integrand, lo, hi, owner, len(x), 1e-12, 400)
-    log_scale = b1 * np.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
+    log_scale = (b1 * np.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
+                 + np.ravel(log_factor))
     g = np.exp(log_scale) * total
     # Far past the peak the integrand keeps only the digits that ln u0 + s keeps, so
-    # the quadrature can stop short; there the scale underflows and G is 0 anyway.
+    # the quadrature can stop short; there the scale underflows and the value is 0 anyway.
     for xi, w, gi in zip(x, why, g):
         if w is not None and gi != 0.0:
             raise UnsupportedDomainError(f"meijer_g_1330 quadrature at x={xi:g}: {w}")

@@ -385,6 +385,23 @@ def test_pdf_b_at_extreme_x_is_a_density_or_domain_error(alpha, beta, c, x):
     assert 0.0 <= value < math.inf and math.copysign(1.0, value) == 1.0
 
 
+def test_pdf_b_is_a_normal_float_where_its_meijer_g_factor_is_not():
+    # 30-digit mpmath values of the density on the default channel, where
+    # G is 4.0e-341 at x = 5e-324.
+    t = channel.TurbulenceParams(alpha=15.0, beta=10.0)
+    g = channel.PointingGeometry.from_exponent(3.2233729130647513, 1.2, 0.1, 150.0)
+    assert channel.pdf_b(5e-324, t, g) == pytest.approx(9.97583764041e-192, rel=1e-9)
+    assert channel.pdf_b(1e-300, t, g) == pytest.approx(1.79906001259e-177, rel=1e-9)
+
+
+def test_pdf_b_far_in_the_tail_is_zero():
+    # On the closed-form channel the density is below the float range here,
+    # where 2 sqrt(z) of its Bessel K is past 2e9.
+    t = channel.TurbulenceParams(alpha=6.5, beta=6.0)
+    g = channel.PointingGeometry.from_exponent(3.2233729130647513, 1.2, 0.1, 150.0)
+    assert channel.pdf_b(1e30, t, g) == 0.0
+
+
 class TestLinkConfig:
     def test_db_conversion(self):
         assert channel.LinkConfig.db_to_linear(0.0) == 1.0

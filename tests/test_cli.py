@@ -544,13 +544,11 @@ cli.emit(table, "csv")
 cli.emit(table, "json")
 montecarlo.confidence_interval(montecarlo.McEstimate("moment", "", 0, {0: (64, 0.0, 4096.0)}),
                                0.95)
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 v = spec.variants[0]
 value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
-oracle = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 channel.pdf_b(0.01, v.turbulence, v.pointing)
-pdf_b = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
-print(json.dumps({"bare": bare, "before": before, "oracle": oracle, "pdf_b": pdf_b, "value": value}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"bare": bare, "scipy": scipy, "value": value}))
 """
 
 
@@ -575,20 +573,12 @@ def test_package_import_loads_no_module(fresh_process):
     assert got["bare"] == []
 
 
-def test_quadrature_stack_loads_only_when_a_run_integrates(fresh_process):
-    # Validation, closed forms, Monte Carlo and the oracle (numpy's own
-    # Gauss-Kronrod rule) load no scipy module; pdf_b takes its Meijer G by
-    # the same rule, and loads neither scipy's quadrature nor its optimizer.
+def test_no_scipy_module_loads_in_a_sweep_the_oracle_or_pdf_b(fresh_process):
+    # The special functions of the closed forms, the asymptote, Monte Carlo,
+    # the confidence interval, the oracle (a Gauss-Kronrod rule) and pdf_b
+    # (the same rule over a Bessel K) are the package's own or the stdlib's.
     got, path = fresh_process
-    assert got["oracle"] == []
-    assert got["pdf_b"] == []
+    assert got["scipy"] == []
     v = cli.validate_config(path).variants[0]
     want, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
     assert got["value"] == want
-
-
-def test_no_scipy_module_loads_until_a_run_integrates(fresh_process):
-    # The special functions of the closed forms, the asymptote, Monte Carlo
-    # and the confidence interval are the package's own or the stdlib's.
-    got, _ = fresh_process
-    assert got["before"] == []

@@ -204,12 +204,43 @@ class TestMeijerG1330Reference:
 
     def test_underflowed_value_is_zero_where_the_quadrature_stops_short(self):
         # Past u0 ~ 1e6 the integrand keeps only the digits of u0 + s, so 1e-12
-        # is out of reach; the value there is below the float range.
+        # is out of reach; the value there is below the float range. Past
+        # u0 ~ 2e9 (x ~ 1e18) the log of K still holds the integrand.
         a1, b = self.CHANNELS["closed-form"]
-        assert numerics.meijer_g_1330(a1, b, np.array([1e14, 1e16])).tolist() == [0.0, 0.0]
+        x = np.array([1e14, 1e16, 1e18, 1e20])
+        assert numerics.meijer_g_1330(a1, b, x).tolist() == [0.0] * 4
 
     def test_empty_array_gives_empty_array(self):
         assert numerics.meijer_g_1330(3.2, (1.3, 4.7, 2.2), np.array([])).shape == (0,)
+
+
+class TestLogBesselK:
+    ORDERS = [0.0, 1e-9, 0.3, 0.5, 2.7, 5.0, 12.25, 40.5]
+    U = np.geomspace(1e-300, 1e10, 200)
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_matches_mpmath(self, nu):
+        # Within 1e-13 relative in K where K is a normal float. Past the float
+        # range, within 1e-15 relative in ln K, whose float spacing there is up
+        # to 1.9e-6 (ln K_0(1e10) is about -1e10).
+        got = numerics._log_bessel_k(nu, self.U)
+        with mpmath.workdps(30):
+            for u, g in zip(self.U.tolist(), got.tolist()):
+                log_k = mpmath.log(mpmath.besselk(nu, u))
+                if -708.0 < log_k < 709.0:
+                    assert abs(mpmath.expm1(g - log_k)) <= 1e-13, (u, g)
+                else:
+                    assert abs(g - log_k) <= 1e-15 * abs(log_k), (u, g)
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_even_in_order(self, nu):
+        got = numerics._log_bessel_k(-nu, self.U)
+        assert got.tolist() == numerics._log_bessel_k(nu, self.U).tolist()
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_array_equals_float_calls_bit_for_bit(self, nu):
+        got = numerics._log_bessel_k(nu, self.U)
+        assert got.tolist() == [numerics._log_bessel_k(nu, np.array([u]))[0] for u in self.U]
 
 
 class TestIntegrateQk21:
