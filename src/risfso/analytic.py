@@ -133,13 +133,13 @@ def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
 
 
 def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
-    """E[gamma^n] for integer n >= 0 via the parabolic-cylinder closed form."""
+    """E[gamma^n] for integer n >= 0 via the parabolic-cylinder closed form,
+    with D_{-n-1}(-m/delta) scaled by e^(-m^2/(4 delta^2))."""
     _check("moment", n=n, gamma_bar=gamma_bar)
     m, d = ms.m, ms.delta
     dv = numerics.parabolic_cylinder_d(-n - 1.0, -m / d)
     try:
-        val = ((gamma_bar * d) ** n / math.sqrt(2.0 * math.pi)
-               * math.exp(-m * m / (4.0 * d * d)) * math.gamma(n + 1) * dv)
+        val = (gamma_bar * d) ** n / math.sqrt(2.0 * math.pi) * math.gamma(n + 1) * dv
     except OverflowError:
         val = math.inf
     if not math.isfinite(val):

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -508,14 +509,6 @@ def run_sweep(spec: SweepSpec) -> Table:
     return Table(rows=rows, config=spec.resolved())
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit(table: Table, fmt: str, path: Optional[str] = None) -> str:
     """Serialize the table; CSV columns follow the fixed contract."""
     if not table.rows:
@@ -524,8 +517,8 @@ def emit(table: Table, fmt: str, path: Optional[str] = None) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in table.rows:
-            writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])
+        # csv writes None as an empty cell and a float as its repr.
+        writer.writerows(map(operator.attrgetter(*CSV_COLUMNS), table.rows))
         payload = buf.getvalue()
     elif fmt == "json":
         payload = json.dumps(

@@ -123,39 +123,34 @@ def erfcx(x: float) -> float:
         return _ratio(_ERFCX_MID, x)
     return _erfcx_big(float(x))  # a numpy float would warn where x * x overflows
 
-# Implemented domain of parabolic_cylinder_d: the integer orders v = -n-1
-# (n <= 11) and arguments z = -m/delta < 0 of the generalized moments.
+# Implemented orders of parabolic_cylinder_d: v = -n-1 (n <= 11) of the
+# generalized moments, whose argument is z = -m/delta < 0.
 PCD_V_RANGE = (-12.0, 0.0)
-PCD_Z_RANGE = (-40.0, 0.0)
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
 def parabolic_cylinder_d(v: float, z: float) -> float:
-    """Parabolic cylinder function D_v(z) for integer v in [-12, 0], z in [-40, 0].
+    """Scaled parabolic cylinder function e^(-z^2/4) D_v(z) for integer v in
+    [-12, 0] and finite z <= 0.
 
-    Starts from D_0 = e^(-z^2/4) and D_{-1} = sqrt(pi/2) e^(z^2/4) erfc(z/sqrt 2)
-    (DLMF 12.7(ii)) and steps D_{-j-1} = (D_{-j+1} - z D_{-j}) / j (DLMF 12.8(i)).
-    Every term is positive for z <= 0, so nothing cancels. z^2 is split into its
-    rounded value and the rounding error (Dekker), since the rounding alone moves
-    e^(z^2/4) by up to 3e-14 at |z| = 40.
+    Starts from e^(-z^2/4) D_0 = e^(-z^2/2) and e^(-z^2/4) D_{-1} =
+    sqrt(pi/2) erfc(z/sqrt 2) (DLMF 12.7(ii)) and steps the linear recurrence
+    D_{-j-1} = (D_{-j+1} - z D_{-j}) / j (DLMF 12.8(i)), which holds for the
+    scaled values too. Every term is positive for z <= 0, so nothing cancels,
+    and the result grows like |z|^(-v-1), not like e^(z^2/4).
     """
     # The range test comes first: math.floor raises on nan and +-inf.
-    if not (PCD_V_RANGE[0] <= v <= PCD_V_RANGE[1] and PCD_Z_RANGE[0] <= z <= PCD_Z_RANGE[1]
+    if not (PCD_V_RANGE[0] <= v <= PCD_V_RANGE[1] and -math.inf < z <= 0.0
             and v == math.floor(v)):
         raise UnsupportedDomainError(
             f"parabolic_cylinder_d implemented for integer v in {PCD_V_RANGE}, "
-            f"z in {PCD_Z_RANGE}; got v={v}, z={z}"
+            f"finite z <= 0; got v={v}, z={z}"
         )
-    c = 134217729.0 * z  # 2^27 + 1
-    hi = c - (c - z)
-    lo = z - hi
-    sq = z * z
-    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # z^2 = sq + sq_lo exactly
-    d_next = math.exp(-0.25 * sq) * (1.0 - 0.25 * sq_lo)
+    d_next = math.exp(-0.5 * z * z)
     if v == 0.0:
         return d_next
-    d = _SQRT_HALF_PI * math.exp(0.25 * sq) * (1.0 + 0.25 * sq_lo) * math.erfc(z / math.sqrt(2.0))
+    d = _SQRT_HALF_PI * math.erfc(z / math.sqrt(2.0))
     for j in range(1, int(-v)):
         d_next, d = d, (d_next - z * d) / j
     return d

@@ -194,6 +194,23 @@ class TestAmountOfFading:
     def test_moments_out_of_float_range(self, ms, gbar):
         assert analytic.amount_of_fading(2, ms, gbar) == analytic.amount_of_fading(2, ms, 1.0)
 
+    @pytest.mark.parametrize("n_elements", [16, 64, 128, 256])
+    def test_matches_truncated_gaussian_quadrature(self, tmp_path, n_elements):
+        # The closed-form workload's channel: alpha = 6.5, beta = 6, default pointing.
+        path = tmp_path / "closed_form.cfg"
+        path.write_text("turbulence.alpha = 6.5\nturbulence.beta = 6.0\n")
+        v = cli.validate_config(str(path)).variants[0]
+        ms = analytic.moments(v.turbulence, v.pointing, n_elements)
+        with mpmath.workdps(50):
+            m, d = mpmath.mpf(ms.m), mpmath.sqrt(mpmath.mpf(ms.delta_sq))
+
+            def moment(n):  # E[gamma^n] at gamma_bar = 1, in t = (gamma - m) / d
+                return mpmath.quad(lambda t: (m + d * t) ** n * mpmath.exp(-t * t / 2),
+                                   [-m / d, 0, mpmath.inf]) / mpmath.sqrt(2 * mpmath.pi)
+
+            want = moment(2) / moment(1) ** 2 - 1
+        assert abs(analytic.amount_of_fading(2, ms, 1.0) / float(want) - 1) <= 5e-14
+
     def test_ratio_past_float_range_raises(self):
         # E[gamma^3] at gamma_bar = 1 is about delta^3 = 1e450.
         with pytest.raises(DomainError, match="past the float range"):

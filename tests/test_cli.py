@@ -173,6 +173,15 @@ class TestRunSweepAndEmit:
             assert float(parsed["analytic"]) == row.analytic
             assert parsed["mc_mean"] == ""  # MC disabled
 
+    def test_csv_cells_are_empty_or_the_repr(self, table):
+        row = dataclasses.replace(table.rows[0], analytic=-0.0, asymptotic=float("nan"),
+                                  mc_mean=float("inf"), mc_stderr=float("-inf"),
+                                  oracle=5e-324, n_samples=None, seed=None)
+        cells = next(csv.DictReader(io.StringIO(cli.emit(cli.Table([row], {}), "csv"))))
+        assert cells == {**cells, "analytic": "-0.0", "asymptotic": "nan", "mc_mean": "inf",
+                         "mc_stderr": "-inf", "oracle": "5e-324", "n_samples": "",
+                         "seed": ""}
+
     def test_json_roundtrip(self, table):
         payload = cli.emit(table, "json")
         doc = json.loads(payload)
@@ -222,6 +231,26 @@ class TestRunSweepAndEmit:
         assert {r.metric for r in table.rows} == {
             "ber@a15_b10_s1", "ber@a15_b10_s2", "ber@a6.5_b6_s1"
         }
+
+    @pytest.mark.parametrize("channel_keys", [
+        "",  # the default channel: -m/delta = -60.5 at N = 4096
+        "turbulence.alpha = 6.5\nturbulence.beta = 6.0\n",  # closed-form: -42.0
+    ])
+    def test_moments_and_af_complete_at_4096_elements(self, tmp_path, channel_keys):
+        path = write_config(tmp_path, channel_keys + "sweep.metrics = af,moments\n"
+                            "link.n_elements = 4096\nsweep.include_mc = false\n")
+        spec = cli.validate_config(path)
+        v = spec.variants[0]
+        ms = analytic.moments(v.turbulence, v.pointing, 4096)
+        rows = cli.run_sweep(spec).rows
+        assert len(rows) == 2 * len(spec.gamma_bar_db)
+        for row in rows:
+            assert row.error is None
+            # The truncation at 0 is past the float range: the Gaussian's own
+            # relative variance and mean.
+            want = (ms.delta_sq / ms.m ** 2 if row.metric == "af"
+                    else channel.LinkConfig.db_to_linear(row.gamma_bar_db) * ms.m)
+            assert row.analytic == pytest.approx(want, rel=1e-12)
 
     def test_oracle_is_one_grid_call_per_kind_and_n(self, tmp_path, monkeypatch):
         # 3000 dB puts the SNR variance past the float range: that row's

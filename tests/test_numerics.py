@@ -55,45 +55,50 @@ class TestErfc:
             assert numerics.erfcx(u) == pytest.approx(1 / (u * math.sqrt(math.pi)), rel=1e-15)
 
 
+# Arguments past the old |z| <= 40 range, where e^(z^2/4) overflows from |z| ~ 53:
+# -60.5 is the default channel's -m/delta at N = 4096, -42.0 the closed-form one's.
+FAR_Z = (-41.0, -53.0, -60.5, -100.0, -1e3, -1e5)
+
+
 class TestParabolicCylinderD:
+    # parabolic_cylinder_d(v, z) is the scaled e^(-z^2/4) D_v(z).
     def test_order_zero_identity(self):
-        for z in (-3.0, -0.5, 0.0):
+        for z in (-3.0, -0.5, 0.0, *FAR_Z):
             assert numerics.parabolic_cylinder_d(0.0, z) == pytest.approx(
-                math.exp(-z * z / 4.0), rel=1e-12
+                math.exp(-z * z / 2.0), rel=1e-15
             )
 
     def test_order_minus_one_identity(self):
-        for z in (-4.0, -1.0):
-            expected = (
-                math.exp(z * z / 4.0) * math.sqrt(math.pi / 2.0) * math.erfc(z / math.sqrt(2.0))
-            )
-            assert numerics.parabolic_cylinder_d(-1.0, z) == pytest.approx(expected, rel=1e-8)
+        for z in (-4.0, -1.0, 0.0, *FAR_Z):
+            expected = math.sqrt(math.pi / 2.0) * math.erfc(z / math.sqrt(2.0))
+            assert numerics.parabolic_cylinder_d(-1.0, z) == pytest.approx(expected, rel=1e-15)
 
     def test_quadrature_oracle_value(self):
-        # frozen from 30-digit evaluation of the integral representation
+        # frozen from 30-digit evaluation of the integral representation of D_{-3}(-2.5)
         assert numerics.parabolic_cylinder_d(-3.0, -2.5) == pytest.approx(
-            43.3422272106666, rel=1e-8
+            43.3422272106666 * math.exp(-2.5 ** 2 / 4.0), rel=1e-14
         )
 
     def test_contiguous_relation(self):
-        # D_{v+1}(z) - z D_v(z) + v D_{v-1}(z) = 0
+        # D_{v+1}(z) - z D_v(z) + v D_{v-1}(z) = 0, for the scaled values too
         rng = np.random.default_rng(99)
         for v in range(-11, 0):
-            for z in (0.0, *rng.uniform(-10.0, 0.0, 4)):
+            for z in (0.0, *rng.uniform(-10.0, 0.0, 4), *FAR_Z):
                 d_up = numerics.parabolic_cylinder_d(v + 1.0, z)
                 d_mid = numerics.parabolic_cylinder_d(float(v), z)
                 d_dn = numerics.parabolic_cylinder_d(v - 1.0, z)
                 residual = d_up - z * d_mid + v * d_dn
                 scale = max(abs(d_up), abs(z * d_mid), abs(v * d_dn))
-                assert abs(residual) <= 1e-7 * scale
+                assert abs(residual) <= 1e-15 * scale
 
     @pytest.mark.parametrize("v,z", [
-        (0.5, 0.0), (-13.0, 0.0), (0.0, 41.0), (-2.0, -41.0),
+        (0.5, 0.0), (-13.0, 0.0), (0.0, 41.0),
         # Non-integer orders, and z > 0, where the recurrence would cancel.
         (-1.5, -1.0), (-0.5, 0.0), (-1.0, 1e-9), (0.0, 1.7),
         (0.0, 8.0), (-1.0, 0.3), (-1.0, 2.5),
         # The range test sees these before math.floor, which raises on them.
         (math.nan, -1.0), (-2.0, math.nan), (-math.inf, -1.0),
+        (-2.0, -math.inf), (-2.0, math.inf),
     ])
     def test_outside_domain_rejected(self, v, z):
         with pytest.raises(UnsupportedDomainError):
@@ -104,18 +109,17 @@ class TestParabolicCylinderRecurrence:
     # Integer orders v = -n-1 at z <= 0, the inputs of the generalized
     # moments (z = -m/delta); random z have squares that round.
     Z = np.concatenate((
-        [0.0, -0.0, -1e-8, -31.0, -40.0],
+        [0.0, -0.0, -1e-8, -31.0, -40.0, *FAR_Z],
         np.linspace(-40.0, 0.0, 41),
         np.random.default_rng(7).uniform(-40.0, 0.0, 80),
     ))
 
     @pytest.mark.parametrize("n", range(12))
     def test_matches_mpmath(self, n):
-        import mpmath
-
         with mpmath.workdps(40):
             for z in self.Z:
-                expected = mpmath.pcfd(-n - 1, mpmath.mpf(float(z)))
+                z_mp = mpmath.mpf(float(z))
+                expected = mpmath.exp(-z_mp ** 2 / 4) * mpmath.pcfd(-n - 1, z_mp)
                 got = numerics.parabolic_cylinder_d(-n - 1.0, float(z))
                 assert abs(got / expected - 1) <= 1e-14, z
 
