@@ -35,7 +35,6 @@ __all__ = [
     "average_ber",
     "channel_capacity",
     "METRIC_KINDS",
-    "metric_value",
     "oracle_metric",
 ]
 
@@ -50,11 +49,9 @@ CHIANI_RATES = (1.0, 4.0 / 3.0)
 
 _POLE_SEPARATION = 1e-6
 
-# Quadrature budget of the oracles: a relative tolerance alone, since a
-# metric can lie hundreds of decades below any fixed absolute tolerance, and
-# the most panels one average SNR may be split into.
+# Quadrature tolerance of the oracles: a relative one alone, since a metric
+# can lie hundreds of decades below any fixed absolute tolerance.
 _ORACLE_REL_TOL = 1e-10
-_ORACLE_LIMIT = 400
 
 
 def _phi(x: float) -> float:
@@ -155,8 +152,6 @@ def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     gamma_bar is kept for the callers that pass every closed form the SNR.
     """
     _check("moment", n=n, gamma_bar=gamma_bar)
-    if n == 1:
-        return 0.0
     try:
         af = generalized_moment(n, ms, 1.0) / generalized_moment(1, ms, 1.0) ** n - 1.0
     except (OverflowError, ZeroDivisionError):
@@ -288,9 +283,9 @@ def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
 
 
 # Each kind's per-realization value g(x) on a numpy array of SNRs: the
-# oracle's quadrature nodes and Monte Carlo's samples. Capacity is
-# log1p(x) / ln 2, since log2(1 + x) rounds 1 + x first (6e-9 relative at
-# x = 1e-8).
+# oracle's quadrature nodes and Monte Carlo's samples (at n = 1, s = 0).
+# Capacity is log1p(x) / ln 2, since log2(1 + x) rounds 1 + x first (6e-9
+# relative at x = 1e-8).
 _LN2 = math.log(2.0)
 _FORMS = {
     "outage": lambda x, th, psi, n, s: (x <= th) * 1.0,
@@ -320,17 +315,6 @@ def _check(kind: str, gamma_th: Optional[float] = None, psi: float = 1.0, n: int
         raise DomainError("mgf requires s >= 0")
     if kind == "moment" and not n >= 0:
         raise DomainError("moment order must be >= 0")
-
-
-def metric_value(kind: str, x, *, gamma_th: Optional[float] = None, psi: float = 1.0):
-    """Per-realization value g(x) at SNR x, vectorized; the metric is E[g(gamma)].
-
-    outage: 1{x <= gamma_th}; ber_exactQ: Q(sqrt(2 psi x)); ber_chiani: the
-    two-exponential approximation of that Q; capacity: log2(1 + x);
-    moment: x (first order); mgf: exp(-s x) at s = 0.
-    """
-    _check(kind, gamma_th, psi)
-    return _FORMS[kind](x, gamma_th, psi, 1, 0.0)
 
 
 def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float], psi: float,
@@ -380,7 +364,7 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
 
     val, err, why = numerics.integrate_qk21(
         integrand, np.array(lo), np.array(hi), np.array(owner, dtype=int), len(cells),
-        _ORACLE_REL_TOL, _ORACLE_LIMIT)
+        _ORACLE_REL_TOL)
     for (i, gamma_bar), v, e, w in zip(cells, val, err, why):
         out[i] = (float(v), float(e)) if w is None else DomainError(
             f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {w}")

@@ -253,7 +253,7 @@ def _as_generator(rng: GeneratorLike) -> np.random.Generator:
     return rng
 
 
-def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size=None):
+def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size) -> np.ndarray:
     """Unit-mean Gamma-Gamma turbulence gain samples.
 
     Drawn as the product of two independent unit-mean Gamma variates
@@ -262,27 +262,27 @@ def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size=None):
     first; the beta variates are drawn and multiplied in _SLICE at a time.
     """
     g = _as_generator(rng)
-    x = np.asarray(g.gamma(t.alpha, 1.0 / t.alpha, size))  # 0-d for a scalar draw
+    x = g.gamma(t.alpha, 1.0 / t.alpha, size)
     flat = x.reshape(-1)
     for start in range(0, flat.size, _SLICE):
         part = flat[start:start + _SLICE]
         part *= g.gamma(t.beta, 1.0 / t.beta, part.size)
-    return x[()]
+    return x
 
 
-def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size=None):
+def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size) -> np.ndarray:
     """Pointing-error gain samples in (0, A0], by inverse CDF.
 
     The superimposed jitter is isotropic Gaussian, so r^2 / (2 sigma_r^2)
     is standard exponential and h_p = A0 exp(-E / c) has the CDF
     (h / A0)^c of the beam-profile model.
     """
-    h = np.asarray(_as_generator(rng).standard_exponential(size))  # 0-d for a scalar draw
+    h = _as_generator(rng).standard_exponential(size)
     np.negative(h, out=h)
     h /= geo.c
     np.exp(h, out=h)
     h *= geo.a0
-    return h[()]
+    return h
 
 
 def sample_aggregate(
@@ -290,7 +290,7 @@ def sample_aggregate(
     geo: PointingGeometry,
     cfg: LinkConfig,
     rng: GeneratorLike,
-    size=None,
+    size: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Draw (Z, gamma) where Z = sum_k (h_a_k h_p_k)^2 and gamma = gamma_bar Z.
 
@@ -300,22 +300,19 @@ def sample_aggregate(
     block holds 4096 x min(N, 256) draws plus one slice for any N, and the
     slice size is not part of the seed -> sample mapping. Up to
     _ELEMENT_CHUNK elements the draws and the sum are those of a single
-    chunk. A scalar draw is a one-row block.
+    chunk.
     """
     g = _as_generator(rng)
-    rows = 1 if size is None else size
-    z = np.zeros(rows)
+    z = np.zeros(size)
     for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
-        h = sample_h_a(t, g, (rows, min(_ELEMENT_CHUNK, cfg.n_elements - start)))
+        h = sample_h_a(t, g, (size, min(_ELEMENT_CHUNK, cfg.n_elements - start)))
         step = max(1, _SLICE // h.shape[1])
-        for r in range(0, rows, step):
+        for r in range(0, size, step):
             part = h[r:r + step]
             part *= sample_h_p(geo, g, part.shape)
             part *= part
             z[r:r + step] += np.sum(part, axis=-1)
         h = part = None  # the next chunk's draw is then the only one held
-    if size is None:
-        z = z[0]
     return z, cfg.gamma_bar * z
 
 

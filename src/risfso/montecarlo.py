@@ -180,11 +180,11 @@ def estimate_grid(
 ) -> Dict[str, Dict[float, McEstimate]]:
     """One estimate per (metric kind, average SNR), from one draw of the channel.
 
-    Averages analytic.metric_value over the samples (moments are of
-    first order). Z does not depend on the metric or the average SNR, so
-    each block is sampled once and each kind evaluated on one
-    (gamma_bar, sample) array; each result is bit-identical to a
-    standalone estimate() call.
+    Averages the kind's analytic._FORMS entry over the samples at n = 1
+    and s = 0 (the first moment, the MGF at 0). Z does not depend on the
+    metric or the average SNR, so each block is sampled once and each kind
+    evaluated on one (gamma_bar, sample) array; each result is
+    bit-identical to a standalone estimate() call.
     """
     if isinstance(metric_kinds, str) or not metric_kinds:
         raise DomainError(f"expected a non-empty list of metric kinds, got {metric_kinds!r}")
@@ -211,8 +211,7 @@ def estimate_grid(
             for start in range(0, len(grid), step):
                 x = grid_array[start:start + step, None] * z
                 for kind in metric_kinds:
-                    vals = analytic.metric_value(kind, x, gamma_th=base_cfg.gamma_th,
-                                                 psi=base_cfg.psi)
+                    vals = analytic._FORMS[kind](x, base_cfg.gamma_th, base_cfg.psi, 1, 0.0)
                     sums = np.sum(vals, axis=-1).tolist()
                     sums_sq = np.sum(vals * vals, axis=-1).tolist()
                     del vals  # so that one kind's values are held at a time

@@ -181,6 +181,10 @@ _QK21_WG = np.array([*_WG[:10], *reversed(_WG)])
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
+# The most panels integrate_qk21 splits one integral into, for the oracles of
+# analytic and the Meijer G evaluator alike.
+QK21_LIMIT = 400
+
 
 def _qk21(f, lo, hi, owner) -> Tuple[np.ndarray, np.ndarray]:
     """QK21 value and QUADPACK error estimate of f on each panel [lo, hi]; f(y, owner)
@@ -199,14 +203,14 @@ def _qk21(f, lo, hi, owner) -> Tuple[np.ndarray, np.ndarray]:
     return resk * half, err
 
 
-def integrate_qk21(f, lo, hi, owner, n_cells: int, rel_tol: float, limit: int):
+def integrate_qk21(f, lo, hi, owner, n_cells: int, rel_tol: float):
     """Globally adaptive QK21 (QUADPACK's QAG) of n_cells integrals at once.
 
     Cell c is the integral of f (as _qk21 takes it) over the panels [lo, hi]
     whose owner is c. Each round bisects, in one evaluation, every panel of an
     open cell whose error is above its share of rel_tol |value|. Returns per
     cell the value, the error estimate and None, or why the cell stopped short:
-    its value or error is not finite, or limit panels do not reach rel_tol. A
+    its value or error is not finite, or QK21_LIMIT panels do not reach rel_tol. A
     cell's bits do not depend on the other cells of the call.
     """
     value, error, why = np.zeros(n_cells), np.zeros(n_cells), [None] * n_cells
@@ -226,12 +230,12 @@ def integrate_qk21(f, lo, hi, owner, n_cells: int, rel_tol: float, limit: int):
             # A cell over its tolerance has a panel over its share, but for
             # rounding; without one it could not progress.
             full = (count > 0) & ~done & ~broken & (
-                (count >= limit) | (np.bincount(owner, split, minlength=n_cells) == 0))
+                (count >= QK21_LIMIT) | (np.bincount(owner, split, minlength=n_cells) == 0))
             ended = done | broken | full
             value[ended], error[ended] = total[ended], total_err[ended]
             for c in (broken | full).nonzero()[0]:
                 why[c] = ("the integral is not finite" if broken[c] else
-                          f"{limit} panels do not reach the relative tolerance {rel_tol:g}")
+                          f"{QK21_LIMIT} panels do not reach the relative tolerance {rel_tol:g}")
             # Bisect the open cells' panels over their share, in one evaluation.
             open_ = ~ended[owner]
             if not open_.any():
@@ -416,7 +420,7 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0
     lo = np.concatenate((np.zeros(len(x)), cut[two]))
     hi = np.concatenate((np.where(two, cut, width), width[two]))
     owner = np.concatenate((np.arange(len(x)), np.flatnonzero(two)))
-    total, _, why = integrate_qk21(integrand, lo, hi, owner, len(x), 1e-12, 400)
+    total, _, why = integrate_qk21(integrand, lo, hi, owner, len(x), 1e-12)
     log_scale = (b1 * np.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
                  + np.ravel(log_factor))
     g = np.exp(log_scale) * total

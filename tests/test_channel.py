@@ -131,6 +131,8 @@ class TestDerivePointing:
             default_geometry(sigma_theta=0.0, sigma_beta=0.0)
 
     def test_rejects_bad_geometry(self):
+        with pytest.raises(DomainError, match="jitter deviations must be non-negative"):
+            default_geometry(sigma_beta=-1e-3)
         with pytest.raises(DomainError):
             default_geometry(distance_l2=0.0)
         with pytest.raises(DomainError):
@@ -253,13 +255,7 @@ class TestSamplers:
         z2, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
         assert np.array_equal(z1, z2)
 
-    def test_scalar_draw_is_the_first_of_an_array_draw(self, turb, geo):
-        for sampler, params in ((channel.sample_h_a, turb), (channel.sample_h_p, geo)):
-            one = sampler(params, channel.RandomStream(3), None)
-            assert np.ndim(one) == 0
-            assert one == sampler(params, channel.RandomStream(3), 1)[0]
-
-    @pytest.mark.parametrize("size", [None, 64])
+    @pytest.mark.parametrize("size", [1, 64])
     @pytest.mark.parametrize("n_elements", [1, 128, 256])
     def test_single_chunk_aggregate_is_the_unchunked_sum(self, turb, geo, n_elements, size):
         # Up to one element chunk, Z is the plain sum over all N elements
@@ -267,13 +263,13 @@ class TestSamplers:
         cfg = channel.LinkConfig(n_elements=n_elements)
         z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
         g = channel.RandomStream(5, 2).generator()
-        shape = (n_elements,) if size is None else (size, n_elements)
+        shape = (size, n_elements)
         h = channel.sample_h_a(turb, g, shape) * channel.sample_h_p(geo, g, shape)
         ref = np.sum(h * h, axis=-1)
-        assert np.shape(z) == np.shape(ref)
-        assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
+        assert z.shape == ref.shape
+        assert z.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("size", [None, 1, "slice-1", "slice+1", 1696, 4096])
+    @pytest.mark.parametrize("size", [1, "slice-1", "slice+1", 1696, 4096])
     @pytest.mark.parametrize("n_elements", [1, 255, 256, 257, 300, 4096])
     def test_aggregate_is_the_sum_of_whole_chunk_draws(self, turb, geo, n_elements, size):
         # The seed -> sample mapping: each chunk of up to 256 elements draws
@@ -285,10 +281,9 @@ class TestSamplers:
         cfg = channel.LinkConfig(n_elements=n_elements)
         z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
         g = channel.RandomStream(5, 2).generator()
-        lead = () if size is None else (size,)
         ref = 0.0
         for start in range(0, n_elements, 256):
-            shape = lead + (min(256, n_elements - start),)
+            shape = (size, min(256, n_elements - start))
             h = g.gamma(turb.alpha, 1.0 / turb.alpha, shape)
             h *= g.gamma(turb.beta, 1.0 / turb.beta, shape)
             h *= np.exp(-g.standard_exponential(shape) / geo.c) * geo.a0

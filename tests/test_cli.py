@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from risfso import analytic, channel, cli
+from risfso import analytic, channel, cli, numerics
 from risfso.errors import ConfigError, DomainError
 
 
@@ -224,6 +225,10 @@ class TestRunSweepAndEmit:
         with pytest.raises(DomainError):
             cli.emit(table, "xml")
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(DomainError, match="table is empty"):
+            cli.emit(cli.Table([], {}), "csv")
+
     def test_variant_label_in_metric_column(self):
         preset = cli.figure_preset("fig5", mc_samples=1000)
         spec = dataclasses.replace(preset, gamma_bar_db=(0.0,), include_mc=False)
@@ -304,6 +309,16 @@ class TestMainEntry:
         assert cli.main(["validate", "--config", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metrics"] == ["outage", "ber"]
+
+    def test_module_runs_as_a_script(self, tmp_path, capsys, monkeypatch):
+        # python -m risfso.cli: a fresh copy of the module runs as __main__.
+        path = write_config(tmp_path, FAST_CONFIG)
+        monkeypatch.setattr(sys, "argv", ["risfso", "validate", "--config", path])
+        monkeypatch.delitem(sys.modules, "risfso.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("risfso.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["metrics"] == ["outage", "ber"]
 
     def test_validate_bad_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, "pointing.beam_width_cm = -5\n")
@@ -403,7 +418,7 @@ class TestMainEntry:
     def test_oracle_that_does_not_converge_is_a_row_error(self, tmp_path, capsys, monkeypatch):
         # The cell starts with 4 panels, split at mu - 8 sigma, mu and mu + 8
         # sigma, and needs more; with no more allowed it cannot converge.
-        monkeypatch.setattr(analytic, "_ORACLE_LIMIT", 4)
+        monkeypatch.setattr(numerics, "QK21_LIMIT", 4)
         path = write_config(tmp_path, self.HIGH_PSI)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -162,6 +162,10 @@ class TestConfidenceInterval:
         empty = montecarlo.McEstimate("ber_exactQ", e.fingerprint, 0, {})
         with pytest.raises(DomainError):
             montecarlo.confidence_interval(empty, 0.95)
+        assert empty.stream_span == (0, -1)
+        for stat in ("mean", "stderr"):
+            with pytest.raises(DomainError, match="estimate is empty"):
+                getattr(empty, stat)
 
 
 class TestStatisticalConsistency:
@@ -231,7 +235,7 @@ class TestEstimateGrid:
             z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(21, b), 4_096)
             for kind in kinds:
                 for gb in gammas:
-                    vals = analytic.metric_value(kind, gb * z, gamma_th=cfg.gamma_th, psi=cfg.psi)
+                    vals = analytic._FORMS[kind](gb * z, cfg.gamma_th, cfg.psi, 1, 0.0)
                     assert grid[kind][gb].block_stats[b] == (
                         4_096, float(np.sum(vals)), float(np.sum(vals * vals)))
 

@@ -217,6 +217,14 @@ class TestMeijerG1330Reference:
     def test_empty_array_gives_empty_array(self):
         assert numerics.meijer_g_1330(3.2, (1.3, 4.7, 2.2), np.array([])).shape == (0,)
 
+    def test_quadrature_that_stops_short_raises(self, monkeypatch):
+        # With one panel allowed the integral cannot reach 1e-12, and G is a
+        # normal float at x = 1, so no underflow excuses it.
+        monkeypatch.setattr(numerics, "QK21_LIMIT", 1)
+        a1, b = self.CHANNELS["closed-form"]
+        with pytest.raises(UnsupportedDomainError, match="1 panels do not reach"):
+            numerics.meijer_g_1330(a1, b, 1.0)
+
 
 class TestLogBesselK:
     ORDERS = [0.0, 1e-9, 0.3, 0.5, 2.7, 5.0, 12.25, 40.5]
@@ -264,14 +272,14 @@ class TestIntegrateQk21:
             owner += [k] * (len(edges) - 1)
         return numerics.integrate_qk21(lambda y, o: c[o][:, None] * y ** p[o][:, None],
                                        np.array(lo), np.array(hi), np.array(owner),
-                                       len(cells), 1e-10, 200)
+                                       len(cells), 1e-10)
 
     def test_values_and_reasons(self):
         value, err, why = self.integrate(self.CELLS)
         for k, (p, _, _) in enumerate(self.CELLS[:3]):
             assert value[k] == pytest.approx(1.0 / (p + 1.0), rel=1e-10, abs=0.0)
             assert err[k] <= 1e-10 * value[k] and why[k] is None
-        assert why[3] == "200 panels do not reach the relative tolerance 1e-10"
+        assert why[3] == "400 panels do not reach the relative tolerance 1e-10"
         assert why[4] == "the integral is not finite"
 
     def test_cell_bits_do_not_depend_on_other_cells(self):
