@@ -255,6 +255,16 @@ class TestSamplers:
         z2, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
         assert np.array_equal(z1, z2)
 
+    @pytest.mark.parametrize("sampler", ["sample_h_a", "sample_h_p", "sample_aggregate"])
+    def test_size_is_required(self, turb, geo, sampler):
+        args = {
+            "sample_h_a": (turb,),
+            "sample_h_p": (geo,),
+            "sample_aggregate": (turb, geo, channel.LinkConfig(n_elements=8)),
+        }[sampler]
+        with pytest.raises(TypeError, match="size"):
+            getattr(channel, sampler)(*args, channel.RandomStream(3))
+
     @pytest.mark.parametrize("size", [1, 64])
     @pytest.mark.parametrize("n_elements", [1, 128, 256])
     def test_single_chunk_aggregate_is_the_unchunked_sum(self, turb, geo, n_elements, size):
