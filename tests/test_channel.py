@@ -279,39 +279,54 @@ class TestSamplers:
         assert z.shape == ref.shape
         assert z.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("size", [1, "slice-1", "slice+1", 1696, 4096])
+    @pytest.mark.parametrize("size", [1, "step-1", "step+1", 1696, 4096])
     @pytest.mark.parametrize("n_elements", [1, 255, 256, 257, 300, 4096])
-    def test_aggregate_is_the_sum_of_whole_chunk_draws(self, turb, geo, n_elements, size):
-        # The seed -> sample mapping: each chunk of up to 256 elements draws
-        # all its alpha variates, then all its beta variates, then all its
-        # exponentials, from the block's one generator. The row slices the
-        # sampler works in must not show, so sizes end on both sides of one.
-        rows_per_slice = channel._SLICE // min(n_elements, channel._ELEMENT_CHUNK)
-        size = {"slice-1": rows_per_slice - 1, "slice+1": rows_per_slice + 1}.get(size, size)
+    def test_aggregate_is_the_sum_of_tile_draws(self, turb, geo, n_elements, size):
+        # The seed -> sample mapping: each chunk of up to 256 elements is drawn
+        # step = _TILE // cols rows at a time, and each tile is the public
+        # samplers' draw on its shape from the block's one generator, so the
+        # in-place draws also have their law. Sizes end on both sides of a tile.
+        step = channel._TILE // min(n_elements, channel._ELEMENT_CHUNK)
+        size = {"step-1": step - 1, "step+1": step + 1}.get(size, size)
         cfg = channel.LinkConfig(n_elements=n_elements)
         z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
         g = channel.RandomStream(5, 2).generator()
-        ref = 0.0
+        ref = np.zeros(size)
         for start in range(0, n_elements, 256):
-            shape = (size, min(256, n_elements - start))
-            h = g.gamma(turb.alpha, 1.0 / turb.alpha, shape)
-            h *= g.gamma(turb.beta, 1.0 / turb.beta, shape)
-            h *= np.exp(-g.standard_exponential(shape) / geo.c) * geo.a0
-            ref = ref + np.sum(h * h, axis=-1)
-        assert np.shape(z) == np.shape(ref)
-        assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
+            cols = min(256, n_elements - start)
+            for r in range(0, size, channel._TILE // cols):
+                shape = (min(channel._TILE // cols, size - r), cols)
+                h = channel.sample_h_a(turb, g, shape) * channel.sample_h_p(geo, g, shape)
+                ref[r:r + shape[0]] += np.sum(h * h, axis=-1)
+        assert z.shape == ref.shape
+        assert z.tobytes() == ref.tobytes()
 
-    def test_aggregate_block_holds_one_chunk_of_draws(self, turb, geo):
-        # 4096 x 256 float64 draws are 8 MiB and one slice is 0.5 MiB; drawing
-        # a chunk's three factors whole held 24 MiB.
-        cfg = channel.LinkConfig(n_elements=4096)
+    @pytest.mark.parametrize("n_elements", [128, 4096])
+    def test_aggregate_block_holds_one_tile_of_draws(self, turb, geo, n_elements):
+        # The (2, _TILE) buffer is 1 MiB for any N; holding a whole element
+        # chunk of draws took 4.5 MiB at N = 128 and 8.5 MiB at N = 4096.
+        cfg = channel.LinkConfig(n_elements=n_elements)
         tracemalloc.start()
         try:
             channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9.5 * 2**20
+        assert peak <= 1.5 * 2**20
+
+    def test_aggregate_memory_does_not_grow_with_size(self, turb, geo):
+        # Beyond Z itself (8 bytes a sample), a block of 16 tiles' rows holds
+        # no more than one of a single tile's.
+        cfg = channel.LinkConfig(n_elements=128)
+        extra = {}
+        for size in (4096, 65536):
+            tracemalloc.start()
+            try:
+                channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
+                extra[size] = tracemalloc.get_traced_memory()[1] - 8 * size
+            finally:
+                tracemalloc.stop()
+        assert extra[65536] <= extra[4096]
 
     def test_aggregate_memory_does_not_grow_with_elements(self, turb, geo):
         peaks = {}
