@@ -63,7 +63,7 @@ print()
 
 # --- Aggregate over N reflecting elements ---------------------------------
 cfg = channel.LinkConfig(n_elements=128, gamma_bar=channel.LinkConfig.db_to_linear(20.0))
-z, gamma = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(seed=2), 50_000)
+z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(seed=2), 50_000)
 ms = analytic.moments(turb, geo, cfg.n_elements)
 print(f"Aggregate squared gain Z over N = {cfg.n_elements} elements:")
 print(f"  sample mean     = {z.mean():.6f}   (closed form m = {ms.m:.6f})")

@@ -317,42 +317,50 @@ def _check(kind: str, gamma_th: Optional[float] = None, psi: float = 1.0, n: int
         raise DomainError("moment order must be >= 0")
 
 
-def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float], psi: float,
+# Products of huge SNRs overflow to inf, as they do in float arithmetic.
+@np.errstate(over="ignore")
+def _oracle_grid(kind: str, summaries, gammas, gamma_th: Optional[float], psi: float,
                  n: int, s: float) -> list:
-    """oracle_metric on each average SNR: (value, err) or that cell's DomainError."""
-    out: list = [None] * len(gammas)
-    cells, mus, sds, lo, hi, owner = [], [], [], [], [], []
-    # A form that falls off at x = 0 at this rate is a spike of width 1/rate
-    # there; past x = 729 / rate its erfc and exponentials are below 1e-308.
+    """oracle_metric on each (summary, average SNR) cell, in one quadrature pass:
+    per summary, a list of (value, err) or that cell's DomainError."""
+    grid = [float(gamma_bar) for gamma_bar in gammas]
+    gb = np.array(grid)
+    m = np.array([ms.m for ms in summaries]).reshape(-1, 1)
+    delta_sq = np.array([ms.delta_sq for ms in summaries]).reshape(-1, 1)
+    out: list = [[None] * len(grid) for _ in summaries]
+    var = 2.0 * (gb * gb) * delta_sq
+    # np.sqrt is correctly rounded, as math.sqrt is, so sd is gamma_bar * ms.delta.
+    mu, sd = gb * m, gb * np.sqrt(delta_sq)
+    ok = (gb > 0.0) & (0.0 < var) & (var < math.inf)
+    for i, j in zip(*np.nonzero(~ok)):
+        try:
+            check_link(gamma_bar=grid[j])
+        except DomainError as exc:
+            out[i][j] = exc
+        else:
+            out[i][j] = DomainError(
+                f"SNR variance at gamma_bar = {grid[j]:g} is out of float range")
+    cells = np.argwhere(ok)
+    mu, sd = mu[ok], sd[ok]
+
+    # Past end the density is below e^-72 of its peak, and the outage form is 0
+    # past gamma_th. The first panels split at the density mode and, for a form
+    # that falls off at x = 0 at a rate r, at the edges 1/r and 729/r of its
+    # spike there (past 729/r its erfc and exponentials are below 1e-308), so
+    # the adaptive rule sees the mass. Each row holds a cell's cuts in (0, end),
+    # sorted, then end; the cuts outside are inf, past every kept one.
+    end = np.maximum(mu + 12.0 * sd, 16.0 * sd)
+    if kind == "outage":
+        end = np.minimum(end, gamma_th)
     rate = {"ber_exactQ": psi, "ber_chiani": psi, "mgf": s}.get(kind, 0.0)
     spike = (1.0 / rate, 729.0 / rate) if rate > 0 else ()
-    for i, gamma_bar in enumerate(gammas):
-        gamma_bar = float(gamma_bar)
-        try:
-            check_link(gamma_bar=gamma_bar)
-            if not 0.0 < 2.0 * (gamma_bar * gamma_bar) * ms.delta_sq < math.inf:
-                raise DomainError(
-                    f"SNR variance at gamma_bar = {gamma_bar:g} is out of float range")
-        except DomainError as exc:
-            out[i] = exc
-            continue
-        mu, sd = gamma_bar * ms.m, gamma_bar * ms.delta
-        # Past end the density is below e^-72 of its peak, and the outage form
-        # is 0 past gamma_th. The first panels split at the density mode and
-        # at the edges of the form's spike, so the adaptive rule sees the mass.
-        end = max(mu + 12.0 * sd, 16.0 * sd)
-        if kind == "outage":
-            end = min(end, gamma_th)
-        cuts = [0.0, *sorted(math.sqrt(p) for p in (mu - 8.0 * sd, mu, mu + 8.0 * sd, *spike)
-                             if 0.0 < p < end), math.sqrt(end)]
-        lo += cuts[:-1]
-        hi += cuts[1:]
-        owner += [len(cells)] * (len(cuts) - 1)
-        cells.append((i, gamma_bar))
-        mus.append(mu)
-        sds.append(sd)
-
-    mu, sd = np.array(mus), np.array(sds)
+    points = np.column_stack((mu - 8.0 * sd, mu, mu + 8.0 * sd,
+                              np.tile(np.array(spike), (len(mu), 1)), end))
+    kept = (0.0 < points) & (points < end[:, None])
+    kept[:, -1] = True
+    hi = np.sqrt(np.sort(np.where(kept, points, np.inf), axis=1))
+    lo = np.column_stack((np.zeros(len(mu)), hi[:, :-1]))
+    panel = np.arange(hi.shape[1]) < kept.sum(axis=1)[:, None]
 
     def integrand(y, owner):
         x, cell_sd = y * y, sd[owner][:, None]
@@ -363,11 +371,10 @@ def _oracle_grid(kind: str, ms: MomentSummary, gammas, gamma_th: Optional[float]
         return 2.0 * y * _FORMS[kind](x, gamma_th, psi, n, s) * np.exp(-0.5 * t * t) / norm
 
     val, err, why = numerics.integrate_qk21(
-        integrand, np.array(lo), np.array(hi), np.array(owner, dtype=int), len(cells),
-        _ORACLE_REL_TOL)
-    for (i, gamma_bar), v, e, w in zip(cells, val, err, why):
-        out[i] = (float(v), float(e)) if w is None else DomainError(
-            f"{kind} quadrature at gamma_bar = {gamma_bar:g}: {w}")
+        integrand, lo[panel], hi[panel], panel.nonzero()[0], len(mu), _ORACLE_REL_TOL)
+    for (i, j), v, e, w in zip(cells.tolist(), val.tolist(), err.tolist(), why):
+        out[i][j] = (v, e) if w is None else DomainError(
+            f"{kind} quadrature at gamma_bar = {grid[j]:g}: {w}")
     return out
 
 
@@ -393,12 +400,19 @@ def oracle_metric(
     quadrature does not converge. A sequence is integrated in one vectorized
     pass and gives, per average SNR, the (value, err) the float call would
     give, bit for bit, or that cell's DomainError; it raises only for a bad
-    kind or parameter.
+    kind or parameter. ms may also be a sequence of MomentSummary: then every
+    (summary, average SNR) cell is integrated in one pass, and the result is
+    one such list per summary (a float gamma_bar counting as a one-SNR grid).
     """
     _check(kind, gamma_th, psi, n, s)
+    many = not isinstance(ms, MomentSummary)
+    cells = _oracle_grid(kind, ms if many else [ms],
+                         gamma_bar if np.ndim(gamma_bar) else [gamma_bar], gamma_th, psi, n, s)
+    if many:
+        return cells
     if np.ndim(gamma_bar):
-        return _oracle_grid(kind, ms, gamma_bar, gamma_th, psi, n, s)
-    (cell,) = _oracle_grid(kind, ms, [gamma_bar], gamma_th, psi, n, s)
+        return cells[0]
+    (cell,) = cells[0]
     if isinstance(cell, DomainError):
         raise cell
     return cell

@@ -299,8 +299,9 @@ def sample_aggregate(
     cfg: LinkConfig,
     rng: GeneratorLike,
     size: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw (Z, gamma) where Z = sum_k (h_a_k h_p_k)^2 and gamma = gamma_bar Z.
+) -> np.ndarray:
+    """Draw Z = sum_k (h_a_k h_p_k)^2 over cfg.n_elements elements; the SNR is
+    gamma_bar Z.
 
     The elements are drawn and summed _ELEMENT_CHUNK at a time, and each
     chunk of cols elements _TILE // cols rows at a time. Per tile, the one
@@ -328,8 +329,7 @@ def sample_aggregate(
             h *= _pointing_gain(geo, g.standard_exponential(out=w))
             h *= h
             z[r:r + rows] += np.sum(h.reshape(rows, cols), axis=-1)
-    h = w = buf = None  # so that gamma is not held beside the buffer
-    return z, cfg.gamma_bar * z
+    return z
 
 
 def pdf_b(x, t: TurbulenceParams, geo: PointingGeometry):

@@ -435,77 +435,86 @@ def _pointing_from(values: dict) -> PointingGeometry:
     )
 
 
+def _closed_form(metric: str, ms: analytic.MomentSummary, gamma_bar: float,
+                 spec: SweepSpec) -> Tuple[Optional[float], Optional[str]]:
+    """(value, None) of the metric's closed form, or (None, why it failed)."""
+    try:
+        return METRICS[metric][0](ms, gamma_bar, spec), None
+    except RisFsoError as exc:
+        return None, str(exc)
+
+
 def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate every (gamma_bar, N, metric) cell of the sweep."""
     rows: List[Row] = []
     gammas = [LinkConfig.db_to_linear(db) for db in spec.gamma_bar_db]
     mc_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_mc and METRICS[m][1]]
     oracle_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_oracle and METRICS[m][1]]
+    channels = [(variant, n, analytic.moments(variant.turbulence, variant.pointing, n))
+                for variant in spec.variants for n in variant.n_list]
+    # One pass per kind over every (variant, N, gamma_bar) cell: per channel and
+    # N, a list of (value, err) or the cell's DomainError, one per gamma_bar.
+    oracles = {kind: analytic.oracle_metric(kind, [ms for _, _, ms in channels], gammas,
+                                            gamma_th=spec.gamma_th, psi=spec.psi)
+               for kind in oracle_kinds}
 
-    for variant in spec.variants:
+    for k, (variant, n, ms) in enumerate(channels):
         t, g = variant.turbulence, variant.pointing
-        for n in variant.n_list:
-            ms = analytic.moments(t, g, n)
-            missing_mass = ms.clt_missing_mass
-            base_cfg = LinkConfig(n_elements=n, gamma_bar=1.0,
-                                  gamma_th=spec.gamma_th, psi=spec.psi)
-            profile = profile_error = None
-            if spec.include_asymptotic and "outage" in spec.metrics:
-                try:
-                    profile = analytic.asymptotic_profile(t, g, n)
-                except DegenerateParametersError as exc:
-                    profile_error = str(exc)
+        missing_mass = ms.clt_missing_mass
+        base_cfg = LinkConfig(n_elements=n, gamma_bar=1.0,
+                              gamma_th=spec.gamma_th, psi=spec.psi)
+        profile = profile_error = None
+        if spec.include_asymptotic and "outage" in spec.metrics:
+            try:
+                profile = analytic.asymptotic_profile(t, g, n)
+            except DegenerateParametersError as exc:
+                profile_error = str(exc)
+        # The amount of fading takes its moments at gamma_bar = 1, so one value
+        # holds at every grid SNR (each is positive and finite).
+        af = _closed_form("af", ms, 1.0, spec) if "af" in spec.metrics else None
 
-            estimates = {}
-            if mc_kinds:
-                estimates = montecarlo.estimate_grid(
-                    mc_kinds, t, g, base_cfg, gammas, spec.mc_samples, spec.seed, spec.workers
+        estimates = {}
+        if mc_kinds:
+            estimates = montecarlo.estimate_grid(
+                mc_kinds, t, g, base_cfg, gammas, spec.mc_samples, spec.seed, spec.workers
+            )
+
+        for j, (db, gb) in enumerate(zip(spec.gamma_bar_db, gammas)):
+            for metric in spec.metrics:
+                kind = METRICS[metric][1]
+                row = Row(
+                    gamma_bar_db=db,
+                    n_elements=n,
+                    metric=f"{metric}@{variant.label}" if variant.label else metric,
+                    seed=spec.seed if spec.include_mc else None,
+                    clt_missing_mass=missing_mass,
                 )
-            # Each oracle cell: (value, err) or its DomainError.
-            oracles = {
-                kind: dict(zip(gammas, analytic.oracle_metric(
-                    kind, ms, gammas, gamma_th=spec.gamma_th, psi=spec.psi)))
-                for kind in oracle_kinds
-            }
-
-            for db, gb in zip(spec.gamma_bar_db, gammas):
-                for metric in spec.metrics:
-                    closed_form, kind = METRICS[metric]
-                    row = Row(
-                        gamma_bar_db=db,
-                        n_elements=n,
-                        metric=f"{metric}@{variant.label}" if variant.label else metric,
-                        seed=spec.seed if spec.include_mc else None,
-                        clt_missing_mass=missing_mass,
-                    )
+                row.analytic, row.error = (af if metric == "af"
+                                           else _closed_form(metric, ms, gb, spec))
+                if metric == "capacity":
+                    row.capacity_fit_window_exceeded = ms.m * gb > analytic.CAPACITY_FIT_LIMIT
+                if metric == "outage" and spec.include_asymptotic:
+                    if profile is not None:
+                        row.asymptotic = analytic.asymptotic_outage(
+                            spec.gamma_th, profile, t, g, gb
+                        )
+                    else:
+                        row.error = profile_error
+                # The asymptote is the one closed form capped at its range.
+                row.clamp_events = int(row.asymptotic == 1.0)
+                cell = oracles[kind][k][j] if kind in oracles else None
+                if isinstance(cell, DomainError):
+                    row.error = row.error or f"oracle: {cell}"
+                elif cell is not None:
+                    row.oracle = cell[0]
+                est = estimates.get(kind, {}).get(gb)
+                if est is not None:
+                    row.n_samples = est.n_samples
                     try:
-                        row.analytic = closed_form(ms, gb, spec)
+                        row.mc_mean, row.mc_stderr = est.mean, est.stderr
                     except RisFsoError as exc:
-                        row.error = str(exc)
-                    if metric == "capacity":
-                        row.capacity_fit_window_exceeded = ms.m * gb > analytic.CAPACITY_FIT_LIMIT
-                    if metric == "outage" and spec.include_asymptotic:
-                        if profile is not None:
-                            row.asymptotic = analytic.asymptotic_outage(
-                                spec.gamma_th, profile, t, g, gb
-                            )
-                        else:
-                            row.error = profile_error
-                    # The asymptote is the one closed form capped at its range.
-                    row.clamp_events = int(row.asymptotic == 1.0)
-                    cell = oracles.get(kind, {}).get(gb)
-                    if isinstance(cell, DomainError):
-                        row.error = row.error or f"oracle: {cell}"
-                    elif cell is not None:
-                        row.oracle = cell[0]
-                    est = estimates.get(kind, {}).get(gb)
-                    if est is not None:
-                        row.n_samples = est.n_samples
-                        try:
-                            row.mc_mean, row.mc_stderr = est.mean, est.stderr
-                        except RisFsoError as exc:
-                            row.error = row.error or f"mc: {exc}"
-                    rows.append(row)
+                        row.error = row.error or f"mc: {exc}"
+                rows.append(row)
     return Table(rows=rows, config=spec.resolved())
 
 

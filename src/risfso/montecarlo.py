@@ -199,7 +199,7 @@ def estimate_grid(
 
     def do_block(item: Tuple[int, int]):
         block_id, count = item
-        z, _ = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
+        z = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
         out = {}
         # The (gamma_bar, sample) array is evaluated one channel._SLICE of
         # values at a time, which bounds each temporary for any grid length;

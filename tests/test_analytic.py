@@ -541,12 +541,22 @@ class TestOracleMetric:
         # and sums do not depend on the other cells of the call.
         t, g = channel.TurbulenceParams(6.5, 6.0), DEFAULT_GEO
         gammas = [channel.LinkConfig.db_to_linear(db) for db in range(41)]
-        for n_elements in (1, 4, 16, 64, 128, 256):
-            ms = analytic.moments(t, g, n_elements)
-            for kind in ("outage", "ber_exactQ", "capacity", "moment"):
-                grid = analytic.oracle_metric(kind, ms, gammas, gamma_th=1.0)
+        summaries = [analytic.moments(t, g, n) for n in (1, 4, 16, 64, 128, 256)]
+        for kind in ("outage", "ber_exactQ", "capacity", "moment"):
+            grids = [analytic.oracle_metric(kind, ms, gammas, gamma_th=1.0) for ms in summaries]
+            for ms, grid in zip(summaries, grids):
                 assert grid == [analytic.oracle_metric(kind, ms, gb, gamma_th=1.0)
-                                for gb in gammas], (n_elements, kind)
+                                for gb in gammas], (ms.n_elements, kind)
+            # One call over every summary gives each summary's own grid, and a
+            # bad SNR in the middle is its own error in every summary's list.
+            assert analytic.oracle_metric(kind, summaries, gammas, gamma_th=1.0) == grids
+            mid = len(gammas) // 2
+            batch = analytic.oracle_metric(kind, summaries, [*gammas[:mid], 1e300, *gammas[mid:]],
+                                           gamma_th=1.0)
+            for grid, cells in zip(grids, batch):
+                assert isinstance(cells[mid], DomainError)
+                assert "out of float range" in str(cells[mid])
+                assert cells[:mid] + cells[mid + 1:] == grid
 
     def test_bad_grid_cell_is_its_own_error(self, ms):
         # 0 dB, then 3000 dB, where the variance leaves the float range, then a

@@ -241,8 +241,7 @@ class TestSamplers:
     def test_aggregate_matches_clt_moments(self, turb, geo, n_elements):
         # N = 300 sums one full element chunk and a partial second one.
         cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=2.5)
-        z, gam = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(17, 0), 50_000)
-        assert np.array_equal(gam, cfg.gamma_bar * z)
+        z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(17, 0), 50_000)
         ms = analytic.moments(turb, geo, cfg.n_elements)
         se_mean = z.std(ddof=1) / math.sqrt(len(z))
         assert z.mean() == pytest.approx(ms.m, abs=4 * se_mean)
@@ -251,8 +250,8 @@ class TestSamplers:
 
     def test_aggregate_reproducible(self, turb, geo):
         cfg = channel.LinkConfig(n_elements=8)
-        z1, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
-        z2, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
+        z1 = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
+        z2 = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
         assert np.array_equal(z1, z2)
 
     @pytest.mark.parametrize("sampler", ["sample_h_a", "sample_h_p", "sample_aggregate"])
@@ -271,7 +270,7 @@ class TestSamplers:
         # Up to one element chunk, Z is the plain sum over all N elements
         # drawn in one call each, bit for bit.
         cfg = channel.LinkConfig(n_elements=n_elements)
-        z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
+        z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
         g = channel.RandomStream(5, 2).generator()
         shape = (size, n_elements)
         h = channel.sample_h_a(turb, g, shape) * channel.sample_h_p(geo, g, shape)
@@ -289,7 +288,7 @@ class TestSamplers:
         step = channel._TILE // min(n_elements, channel._ELEMENT_CHUNK)
         size = {"step-1": step - 1, "step+1": step + 1}.get(size, size)
         cfg = channel.LinkConfig(n_elements=n_elements)
-        z, _ = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
+        z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
         g = channel.RandomStream(5, 2).generator()
         ref = np.zeros(size)
         for start in range(0, n_elements, 256):
@@ -381,12 +380,10 @@ class TestDensities:
         dists = []
         for n in (4, 16, 256):
             cfg = channel.LinkConfig(n_elements=n, gamma_bar=1.0)
-            _, gam = channel.sample_aggregate(
-                turb, geo, cfg, channel.RandomStream(23, n), 20_000
-            )
+            z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(23, n), 20_000)
             ms = analytic.moments(turb, geo, n)
             stat, _ = stats.kstest(
-                gam, stats.norm(loc=ms.m, scale=math.sqrt(ms.delta_sq)).cdf
+                z, stats.norm(loc=ms.m, scale=math.sqrt(ms.delta_sq)).cdf
             )
             dists.append(stat)
         assert dists[0] > dists[1] > dists[2]

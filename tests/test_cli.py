@@ -257,14 +257,14 @@ class TestRunSweepAndEmit:
                     else channel.LinkConfig.db_to_linear(row.gamma_bar_db) * ms.m)
             assert row.analytic == pytest.approx(want, rel=1e-12)
 
-    def test_oracle_is_one_grid_call_per_kind_and_n(self, tmp_path, monkeypatch):
+    def test_oracle_is_one_call_per_kind_over_every_n(self, tmp_path, monkeypatch):
         # 3000 dB puts the SNR variance past the float range: that row's
         # oracle is its own error, and the 0 dB row has a one-SNR call's value.
         calls = []
         oracle = analytic.oracle_metric
 
         def counted(kind, ms, gamma_bar, **kw):
-            calls.append((kind, ms.n_elements, len(gamma_bar)))
+            calls.append((kind, [s.n_elements for s in ms], len(gamma_bar)))
             return oracle(kind, ms, gamma_bar, **kw)
 
         monkeypatch.setattr(analytic, "oracle_metric", counted)
@@ -273,8 +273,7 @@ class TestRunSweepAndEmit:
                             "sweep.include_mc = false\n")
         spec = cli.validate_config(path)
         rows = cli.run_sweep(spec).rows
-        assert calls == [("outage", 4, 2), ("capacity", 4, 2), ("outage", 16, 2),
-                         ("capacity", 16, 2)]
+        assert calls == [("outage", [4, 16], 2), ("capacity", [4, 16], 2)]
         for row in rows:
             if row.gamma_bar_db == 3000.0:
                 assert row.oracle is None and row.error == (
@@ -284,6 +283,38 @@ class TestRunSweepAndEmit:
                 ms = analytic.moments(v.turbulence, v.pointing, row.n_elements)
                 want, _ = oracle(row.metric, ms, 1.0, gamma_th=spec.gamma_th)
                 assert row.error is None and row.oracle == want
+
+    def test_multi_variant_rows_read_their_own_cells(self, monkeypatch):
+        # fig3's three channels share one oracle call per kind; each row's
+        # oracle is its own channel's standalone call, and each af row the
+        # closed form at its own SNR, evaluated once per channel and N.
+        calls = []
+        af = analytic.amount_of_fading
+
+        def counted(n, ms, gamma_bar):
+            calls.append(ms.m)
+            return af(n, ms, gamma_bar)
+
+        monkeypatch.setattr(analytic, "amount_of_fading", counted)
+        spec = cli._sweep(cli._preset("fig3"), [
+            ("test", "link.gamma_bar_db = 0,15,30"), ("test", "link.n_elements = 16,128"),
+            ("test", "sweep.metrics = outage,af,moments"), ("test", "sweep.include_oracle = true"),
+            ("test", "sweep.include_mc = false")])
+        rows = cli.run_sweep(spec).rows
+        assert len(rows) == 3 * 2 * 3 * 3 and len(calls) == 3 * 2
+        kinds = {"outage": "outage", "moments": "moment"}
+        channels = {v.label: v for v in spec.variants}
+        for row in rows:
+            metric, label = row.metric.split("@")
+            v = channels[label]
+            ms = analytic.moments(v.turbulence, v.pointing, row.n_elements)
+            gb = channel.LinkConfig.db_to_linear(row.gamma_bar_db)
+            assert row.error is None
+            if metric == "af":
+                assert row.oracle is None and row.analytic == af(2, ms, gb)
+            else:
+                want, _ = analytic.oracle_metric(kinds[metric], ms, gb, gamma_th=spec.gamma_th)
+                assert row.oracle == want
 
     def test_each_block_drawn_once_for_all_metrics(self, tmp_path, monkeypatch):
         streams = []

@@ -289,3 +289,25 @@ class TestIntegrateQk21:
             np.testing.assert_array_equal(value, together[0][k:k + 1])
             np.testing.assert_array_equal(err, together[1][k:k + 1])
             assert why == together[2][k:k + 1]
+
+    def test_panel_slices_are_invisible(self, monkeypatch):
+        # The divergent cell bisects to 400 panels, so every slice size below
+        # splits some rounds; the bits are those of one whole evaluation. The
+        # integrand never sees more than one slice of panels.
+        results = []
+        for rows in (1, 7, numerics._QK21_ROWS, 10 ** 9):
+            monkeypatch.setattr(numerics, "_QK21_ROWS", rows)
+            results.append(self.integrate(self.CELLS))
+        for value, err, why in results[:-1]:
+            np.testing.assert_array_equal(value, results[-1][0])
+            np.testing.assert_array_equal(err, results[-1][1])
+            assert why == results[-1][2]
+        seen = []
+
+        def integrand(y, owner):
+            seen.append(len(y))
+            return np.sqrt(y)
+
+        monkeypatch.setattr(numerics, "_QK21_ROWS", 7)
+        numerics.integrate_qk21(integrand, np.zeros(20), np.ones(20), np.arange(20), 20, 1e-10)
+        assert seen[:3] == [7, 7, 6] and max(seen) == 7
