@@ -11,7 +11,10 @@ import pathlib
 
 from risfso import cli
 
-out_dir = pathlib.Path(__file__).parent / "output"
+# Paths are printed relative to the repository root, so the output is the
+# same in every checkout.
+root = pathlib.Path(__file__).resolve().parent.parent
+out_dir = root / "demos" / "output"
 out_dir.mkdir(exist_ok=True)
 
 # --- A custom sweep from a flat key = value config -------------------------
@@ -43,7 +46,7 @@ print()
 table = cli.run_sweep(spec)
 csv_path = out_dir / "custom_sweep.csv"
 cli.emit(table, "csv", str(csv_path))
-print(f"Wrote {len(table.rows)} rows to {csv_path}")
+print(f"Wrote {len(table.rows)} rows to {csv_path.relative_to(root).as_posix()}")
 print("First rows:")
 for line in csv_path.read_text().splitlines()[:4]:
     print(f"  {line}")
@@ -56,7 +59,7 @@ preset = cli.figure_preset("fig4", mc_samples=20000, seed=2024)
 table = cli.run_sweep(preset)
 json_path = out_dir / "asymptotic_outage.json"
 cli.emit(table, "json", str(json_path))
-print(f"Preset 'fig4' -> {len(table.rows)} rows -> {json_path}")
+print(f"Preset 'fig4' -> {len(table.rows)} rows -> {json_path.relative_to(root).as_posix()}")
 
 doc = json.loads(json_path.read_text())
 print("Outage vs asymptote at 70 dB:")

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import PointingGeometry, TurbulenceParams, check_link
-from .errors import DegenerateParametersError, DomainError
+from .errors import DomainError
 from . import numerics
 
 __all__ = [
@@ -211,14 +211,12 @@ def asymptotic_profile(
     for i in range(3):
         for j in range(i + 1, 3):
             if abs(b[i] - b[j]) <= _POLE_SEPARATION:
-                raise DegenerateParametersError(
+                raise DomainError(
                     f"exponents {b[i]} and {b[j]} are too close for the asymptotic expansion"
                 )
     i_star = min(range(3), key=lambda i: b[i])
     if not b[i_star] > -1.0:
-        raise DegenerateParametersError(
-            f"leading exponent {b[i_star]} gives no positive diversity order"
-        )
+        raise DomainError(f"leading exponent {b[i_star]} gives no positive diversity order")
     # epsilon = prod_{j != i*} Gamma(b_j - varrho) / Gamma(c - varrho). Every
     # argument is positive (c - varrho >= 1), so epsilon > 0; only its
     # logarithm can leave the float range, where lgamma raises.
@@ -228,7 +226,7 @@ def asymptotic_profile(
     except OverflowError:
         log_eps = math.inf
     if not math.isfinite(log_eps):
-        raise DegenerateParametersError(
+        raise DomainError(
             "asymptotic coefficient is not a positive finite number; expansion not usable"
         )
     return AsymptoticProfile(varrho=b[i_star], log_epsilon=log_eps, n_elements=n_elements)
@@ -396,23 +394,17 @@ def oracle_metric(
     about 1/psi, which is smooth in y. The rule is QUADPACK's QK21, globally
     adaptive; the closed forms above must agree with it to quadrature accuracy.
 
-    A float gamma_bar gives (value, err) and raises DomainError where the
-    quadrature does not converge. A sequence is integrated in one vectorized
-    pass and gives, per average SNR, the (value, err) the float call would
-    give, bit for bit, or that cell's DomainError; it raises only for a bad
-    kind or parameter. ms may also be a sequence of MomentSummary: then every
-    (summary, average SNR) cell is integrated in one pass, and the result is
-    one such list per summary (a float gamma_bar counting as a one-SNR grid).
+    One MomentSummary with a float gamma_bar gives (value, err) and raises
+    DomainError where the quadrature does not converge. A sequence of
+    MomentSummary with a sequence of average SNRs integrates every (summary,
+    average SNR) cell in one vectorized pass and gives one list per summary:
+    per average SNR, the (value, err) the float call would give, bit for bit,
+    or that cell's DomainError; it raises only for a bad kind or parameter.
     """
     _check(kind, gamma_th, psi, n, s)
-    many = not isinstance(ms, MomentSummary)
-    cells = _oracle_grid(kind, ms if many else [ms],
-                         gamma_bar if np.ndim(gamma_bar) else [gamma_bar], gamma_th, psi, n, s)
-    if many:
-        return cells
-    if np.ndim(gamma_bar):
-        return cells[0]
-    (cell,) = cells[0]
+    if not isinstance(ms, MomentSummary):
+        return _oracle_grid(kind, ms, gamma_bar, gamma_th, psi, n, s)
+    ((cell,),) = _oracle_grid(kind, [ms], [gamma_bar], gamma_th, psi, n, s)
     if isinstance(cell, DomainError):
         raise cell
     return cell

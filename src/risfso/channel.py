@@ -41,13 +41,6 @@ _ELEMENT_CHUNK = 256
 # tile. It is part of the seed -> sample mapping of every block with more rows.
 _TILE = 1 << 16
 
-# Values (64 KiB of float64) of the (gamma_bar, sample) array that
-# montecarlo.estimate_grid evaluates at a time; the sums do not depend on it.
-# It keeps every per-slice temporary below glibc's default 128 KiB mmap
-# threshold: a default N = 128 grid call (21 SNRs, 1e5 samples, 2 workers)
-# read about 850 minor page faults, against 15.7k with 512 KiB slices.
-_SLICE = 1 << 13
-
 
 @dataclass(frozen=True)
 class TurbulenceProvenance:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analytic, montecarlo
 from .channel import LinkConfig, PointingGeometry, TurbulenceParams
-from .errors import ConfigError, DegenerateParametersError, DomainError, RisFsoError
+from .errors import ConfigError, DomainError, RisFsoError
 
 __all__ = [
     "ChannelVariant",
@@ -467,7 +467,7 @@ def run_sweep(spec: SweepSpec) -> Table:
         if spec.include_asymptotic and "outage" in spec.metrics:
             try:
                 profile = analytic.asymptotic_profile(t, g, n)
-            except DegenerateParametersError as exc:
+            except DomainError as exc:
                 profile_error = str(exc)
         # The amount of fading takes its moments at gamma_bar = 1, so one value
         # holds at every grid SNR (each is positive and finite).

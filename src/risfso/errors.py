@@ -6,19 +6,8 @@ class RisFsoError(Exception):
 
 
 class DomainError(RisFsoError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class UnsupportedDomainError(DomainError):
-    """The argument is mathematically valid but outside the implemented range."""
-
-
-class DegenerateParametersError(RisFsoError, ValueError):
-    """A parameter combination makes the requested expression singular."""
-
-
-class MergeError(RisFsoError, ValueError):
-    """Two Monte Carlo accumulators are not compatible for merging."""
+    """An argument lies outside what an operation computes: its mathematical
+    domain, its implemented range, or a combination it cannot use."""
 
 
 class ConfigError(RisFsoError, ValueError):

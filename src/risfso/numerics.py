@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedDomainError
+from .errors import DomainError
 
 __all__ = ["erfc", "erfcx", "parabolic_cylinder_d", "integrate_qk21", "meijer_g_1330"]
 
@@ -143,7 +143,7 @@ def parabolic_cylinder_d(v: float, z: float) -> float:
     # The range test comes first: math.floor raises on nan and +-inf.
     if not (PCD_V_RANGE[0] <= v <= PCD_V_RANGE[1] and -math.inf < z <= 0.0
             and v == math.floor(v)):
-        raise UnsupportedDomainError(
+        raise DomainError(
             f"parabolic_cylinder_d implemented for integer v in {PCD_V_RANGE}, "
             f"finite z <= 0; got v={v}, z={z}"
         )
@@ -407,7 +407,7 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0
         raise DomainError(f"meijer_g_1330 requires finite x > 0, got {xs[bad][0]}")
     b1, b2, b3 = b
     if not a1 > b1:
-        raise UnsupportedDomainError(f"meijer_g_1330 implemented for a1 > b1, got {a1} <= {b1}")
+        raise DomainError(f"meijer_g_1330 implemented for a1 > b1, got {a1} <= {b1}")
     lam = b2 + b3 - 2.0 * b1 - 1.0
     x = xs.ravel()
     u0 = 2.0 * np.sqrt(x)
@@ -440,5 +440,5 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0
     # the quadrature can stop short; there the scale underflows and the value is 0 anyway.
     for xi, w, gi in zip(x, why, g):
         if w is not None and gi != 0.0:
-            raise UnsupportedDomainError(f"meijer_g_1330 quadrature at x={xi:g}: {w}")
+            raise DomainError(f"meijer_g_1330 quadrature at x={xi:g}: {w}")
     return g.reshape(xs.shape)[()]

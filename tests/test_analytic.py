@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from risfso import analytic, channel, cli, numerics
-from risfso.errors import DegenerateParametersError, DomainError
+from risfso.errors import DomainError
 
 ALPHA = 15.0
 BETA = 10.0
@@ -320,13 +320,13 @@ class TestAsymptotics:
 
     def test_coincident_exponents_rejected(self, geo):
         turb = channel.TurbulenceParams(alpha=6.0, beta=6.0)
-        with pytest.raises(DegenerateParametersError):
+        with pytest.raises(DomainError, match="too close for the asymptotic expansion"):
             analytic.asymptotic_profile(turb, geo, 1)
 
     def test_coefficient_past_float_range_rejected(self):
         # lgamma of the gap alpha - 1 - varrho overflows at alpha = 1e306.
         geo = channel.PointingGeometry(1e-3, 0.5e-3, 150.0, 150.0, 1.2, 0.1)
-        with pytest.raises(DegenerateParametersError):
+        with pytest.raises(DomainError, match="asymptotic coefficient is not a positive finite"):
             analytic.asymptotic_profile(channel.TurbulenceParams(1e306, BETA), geo, 1)
         prof = analytic.asymptotic_profile(channel.TurbulenceParams(1e300, BETA), geo, 1)
         assert prof.log_epsilon == pytest.approx(6.9e302, rel=1e-3)
@@ -543,13 +543,15 @@ class TestOracleMetric:
         gammas = [channel.LinkConfig.db_to_linear(db) for db in range(41)]
         summaries = [analytic.moments(t, g, n) for n in (1, 4, 16, 64, 128, 256)]
         for kind in ("outage", "ber_exactQ", "capacity", "moment"):
-            grids = [analytic.oracle_metric(kind, ms, gammas, gamma_th=1.0) for ms in summaries]
-            for ms, grid in zip(summaries, grids):
-                assert grid == [analytic.oracle_metric(kind, ms, gb, gamma_th=1.0)
-                                for gb in gammas], (ms.n_elements, kind)
-            # One call over every summary gives each summary's own grid, and a
-            # bad SNR in the middle is its own error in every summary's list.
+            grids = [[analytic.oracle_metric(kind, ms, gb, gamma_th=1.0) for gb in gammas]
+                     for ms in summaries]
+            # One call over every summary gives each summary's own float
+            # calls, and one summary alone gives the same list.
             assert analytic.oracle_metric(kind, summaries, gammas, gamma_th=1.0) == grids
+            for ms, grid in zip(summaries, grids):
+                assert analytic.oracle_metric(kind, [ms], gammas, gamma_th=1.0) == [grid], (
+                    ms.n_elements, kind)
+            # A bad SNR in the middle is its own error in every summary's list.
             mid = len(gammas) // 2
             batch = analytic.oracle_metric(kind, summaries, [*gammas[:mid], 1e300, *gammas[mid:]],
                                            gamma_th=1.0)
@@ -562,7 +564,7 @@ class TestOracleMetric:
         # 0 dB, then 3000 dB, where the variance leaves the float range, then a
         # negative SNR: each bad cell is its own error, and the 0 dB cell is
         # what a float call gives.
-        first, bad, last = analytic.oracle_metric("ber_exactQ", ms, [1.0, 1e300, -1.0])
+        ((first, bad, last),) = analytic.oracle_metric("ber_exactQ", [ms], [1.0, 1e300, -1.0])
         assert first == analytic.oracle_metric("ber_exactQ", ms, 1.0)
         assert isinstance(bad, DomainError) and "out of float range" in str(bad)
         assert isinstance(last, DomainError) and str(last) == "gamma_bar must be positive"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from risfso import analytic, channel, montecarlo
-from risfso.errors import DomainError, MergeError
+from risfso.errors import DomainError
 
 # Inverse-normal quantile z(97.5%) frozen from a 30-digit evaluation of
 # sqrt(2) * erfinv(0.95).
@@ -37,8 +37,14 @@ def cfg():
     return channel.LinkConfig(n_elements=16, gamma_bar=10.0, gamma_th=1.0)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that a 2-worker pool runs on any host."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+
 class TestDeterminism:
-    def test_worker_count_invisible(self, turb, geo, cfg):
+    def test_worker_count_invisible(self, turb, geo, cfg, two_cpus):
         runs = [
             montecarlo.estimate("outage", turb, geo, cfg, 20_000, seed=42, workers=w)
             for w in (1, 8)
@@ -62,11 +68,11 @@ class TestDeterminism:
         counts = [e.block_stats[b][0] for b in sorted(e.block_stats)]
         assert sum(counts) == 10_000
         assert counts[:-1] == [montecarlo.BLOCK_SIZE] * (len(counts) - 1)
-        assert e.stream_span == (0, len(counts) - 1)
+        assert sorted(e.block_stats) == list(range(len(counts)))
 
     def test_first_stream_offsets_blocks(self, turb, geo, cfg):
         e = montecarlo.estimate("outage", turb, geo, cfg, 5_000, seed=1, first_stream=10)
-        assert e.stream_span == (10, 11)
+        assert sorted(e.block_stats) == [10, 11]
 
 
 class TestMerge:
@@ -95,23 +101,23 @@ class TestMerge:
 
     def test_rejects_overlap(self, turb, geo, cfg):
         a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
-        with pytest.raises(MergeError):
+        with pytest.raises(DomainError, match=r"overlapping stream blocks: \[0\]"):
             montecarlo.merge(a, a)
 
     def test_rejects_mismatched_kind_or_params(self, turb, geo, cfg):
         a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
         b = montecarlo.estimate("outage", turb, geo, cfg, 4_096, seed=3, first_stream=1)
-        with pytest.raises(MergeError):
+        with pytest.raises(DomainError, match="metric kinds differ: ber_exactQ vs outage"):
             montecarlo.merge(a, b)
         other_cfg = channel.LinkConfig(n_elements=16, gamma_bar=20.0, gamma_th=1.0)
         c = montecarlo.estimate("ber_exactQ", turb, geo, other_cfg, 4_096, seed=3, first_stream=1)
-        with pytest.raises(MergeError):
+        with pytest.raises(DomainError, match="parameter fingerprints differ"):
             montecarlo.merge(a, c)
 
     def test_rejects_mismatched_seed(self, turb, geo, cfg):
         a = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=3)
         b = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 4_096, seed=4, first_stream=1)
-        with pytest.raises(MergeError):
+        with pytest.raises(DomainError, match="seeds differ"):
             montecarlo.merge(a, b)
 
 
@@ -162,7 +168,7 @@ class TestConfidenceInterval:
         empty = montecarlo.McEstimate("ber_exactQ", e.fingerprint, 0, {})
         with pytest.raises(DomainError):
             montecarlo.confidence_interval(empty, 0.95)
-        assert empty.stream_span == (0, -1)
+        assert not empty.block_stats
         for stat in ("mean", "stderr"):
             with pytest.raises(DomainError, match="estimate is empty"):
                 getattr(empty, stat)
@@ -229,7 +235,7 @@ class TestEstimateGrid:
         # A grid longer than the rows a 4096-sample block evaluates at once,
         # against the sums of one gamma_bar's values on their own, block by block.
         kinds = ["outage", "ber_exactQ", "capacity", "moment"]
-        gammas = np.geomspace(0.1, 1e4, channel._SLICE // 4_096 + 3).tolist()
+        gammas = np.geomspace(0.1, 1e4, montecarlo._SLICE // 4_096 + 3).tolist()
         grid = montecarlo.estimate_grid(kinds, turb, geo, cfg, gammas, 8_192, seed=21)
         for b in range(2):
             z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(21, b), 4_096)
@@ -239,9 +245,9 @@ class TestEstimateGrid:
                     assert grid[kind][gb].block_stats[b] == (
                         4_096, float(np.sum(vals)), float(np.sum(vals * vals)))
 
-    @pytest.mark.parametrize("n_gammas", sorted(
-        {1, 200} | {channel._SLICE // count + d for count in (4_096, 1_696) for d in (-1, 0, 1)}))
-    def test_slices_are_invisible(self, turb, geo, n_gammas):
+    @pytest.mark.parametrize("n_gammas", sorted({1, 200} | {
+        montecarlo._SLICE // count + d for count in (4_096, 1_696) for d in (-1, 0, 1)}))
+    def test_slices_are_invisible(self, turb, geo, n_gammas, two_cpus):
         # A 4096-sample block is evaluated _SLICE // 4096 average SNRs at a
         # time and the partial 1696-sample block _SLICE // 1696 at a time; the
         # grids end before, at and past a slice edge of each, and each cell is
@@ -279,7 +285,7 @@ class TestEstimateGrid:
     # N = 300 draws each block in two element chunks, the second partial.
     @pytest.mark.parametrize("n_elements", [16, 300])
     @pytest.mark.parametrize("workers", [2, 8])
-    def test_grid_workers_invisible(self, turb, geo, n_elements, workers):
+    def test_grid_workers_invisible(self, turb, geo, n_elements, workers, two_cpus):
         cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=10.0, gamma_th=1.0)
         gammas = [1.0, 10.0]
         one = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22)
@@ -317,11 +323,41 @@ class TestWorkerPool:
             return draw(*args)
 
         monkeypatch.setattr(channel, "sample_aggregate", recording)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
         for _ in range(3):
             montecarlo.estimate("outage", turb, geo, cfg, 40_960, seed=3, workers=3)
         assert len(threads) == 30
         assert len(set(threads)) <= 3
         assert threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_are_capped_at_the_usable_cpus(self, turb, geo, cfg, monkeypatch, cpus):
+        # Past the CPU count a pool only adds threads and tile buffers: one CPU
+        # takes the serial path and two the 2-thread pool, with the bits of one
+        # worker either way. A pool map of its own shows which pool the call made.
+        gammas = [1.0, 10.0, 100.0]
+        serial = montecarlo.estimate_grid(["outage"], turb, geo, cfg, gammas, 12_288, seed=6)
+        pools = {}
+        monkeypatch.setattr(montecarlo, "_POOLS", pools)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        try:
+            capped = montecarlo.estimate_grid(["outage"], turb, geo, cfg, gammas, 12_288,
+                                              seed=6, workers=8)
+        finally:
+            for pool in pools.values():
+                pool.shutdown()
+        assert set(pools) == ({2} if cpus == 2 else set())
+        for gb in gammas:
+            assert capped["outage"][gb].block_stats == serial["outage"][gb].block_stats
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert montecarlo._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+        assert montecarlo._usable_cpus() == 1
 
     def test_failed_block_leaves_nothing_running(self, turb, geo, cfg, monkeypatch):
         calls = []
