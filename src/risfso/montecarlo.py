@@ -145,8 +145,14 @@ def confidence_interval(e: McEstimate, level: float) -> Tuple[float, float]:
 
 
 def _block_plan(n_samples: int, first_stream: int) -> Sequence[Tuple[int, int]]:
-    return [(first_stream + i, min(BLOCK_SIZE, n_samples - start))
-            for i, start in enumerate(range(0, n_samples, BLOCK_SIZE))]
+    n_blocks = -(-n_samples // BLOCK_SIZE)
+    plan = []
+    remaining = n_samples
+    for i in range(n_blocks):
+        count = min(BLOCK_SIZE, remaining)
+        plan.append((first_stream + i, count))
+        remaining -= count
+    return plan
 
 
 def estimate(

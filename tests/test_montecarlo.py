@@ -38,13 +38,13 @@ def cfg():
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, so that a 2-worker pool runs on any host."""
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+def eight_cpus(monkeypatch):
+    """Eight usable CPUs, so that the largest pool a test asks for runs on any host."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
 
 
 class TestDeterminism:
-    def test_worker_count_invisible(self, turb, geo, cfg, two_cpus):
+    def test_worker_count_invisible(self, turb, geo, cfg, eight_cpus):
         runs = [
             montecarlo.estimate("outage", turb, geo, cfg, 20_000, seed=42, workers=w)
             for w in (1, 8)
@@ -247,7 +247,7 @@ class TestEstimateGrid:
 
     @pytest.mark.parametrize("n_gammas", sorted({1, 200} | {
         montecarlo._SLICE // count + d for count in (4_096, 1_696) for d in (-1, 0, 1)}))
-    def test_slices_are_invisible(self, turb, geo, n_gammas, two_cpus):
+    def test_slices_are_invisible(self, turb, geo, n_gammas, eight_cpus):
         # A 4096-sample block is evaluated _SLICE // 4096 average SNRs at a
         # time and the partial 1696-sample block _SLICE // 1696 at a time; the
         # grids end before, at and past a slice edge of each, and each cell is
@@ -285,7 +285,7 @@ class TestEstimateGrid:
     # N = 300 draws each block in two element chunks, the second partial.
     @pytest.mark.parametrize("n_elements", [16, 300])
     @pytest.mark.parametrize("workers", [2, 8])
-    def test_grid_workers_invisible(self, turb, geo, n_elements, workers, two_cpus):
+    def test_grid_workers_invisible(self, turb, geo, n_elements, workers, eight_cpus):
         cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=10.0, gamma_th=1.0)
         gammas = [1.0, 10.0]
         one = montecarlo.estimate_grid(["ber_exactQ"], turb, geo, cfg, gammas, 8_192, seed=22)
@@ -359,7 +359,7 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
         assert montecarlo._usable_cpus() == 1
 
-    def test_failed_block_leaves_nothing_running(self, turb, geo, cfg, monkeypatch):
+    def test_failed_block_leaves_nothing_running(self, turb, geo, cfg, monkeypatch, eight_cpus):
         calls = []
 
         def failing(*args):
@@ -375,7 +375,7 @@ class TestWorkerPool:
         assert len(calls) == started < 40
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_its_own_pool(self, turb, geo, cfg):
+    def test_forked_child_starts_its_own_pool(self, turb, geo, cfg, eight_cpus):
         parent = montecarlo.estimate("outage", turb, geo, cfg, 8_192, seed=4, workers=2)
         pid = os.fork()
         if pid == 0:  # the child has the parent's pools but none of their threads
