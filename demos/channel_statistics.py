@@ -20,9 +20,7 @@ turb_physical = channel.derive_turbulence(
     path_length=300.0,    # m
     aperture_radius=0.1,  # m
 )
-p = turb_physical.provenance
 print("Turbulence from physics:")
-print(f"  Rytov variance sigma_R^2 = {p.rytov_var:.6f}  (weak turbulence)")
 print(f"  alpha = {turb_physical.alpha:.2f}, beta = {turb_physical.beta:.2f}")
 print()
 

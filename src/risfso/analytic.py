@@ -167,7 +167,7 @@ def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> 
     if gamma_th == 0.0:
         return 0.0
     m, d = ms.m, ms.delta
-    if gamma_bar * d == 0.0:
+    if gamma_bar * d == 0.0 or gamma_th == math.inf:
         # gamma_th / (gamma_bar d) is past every float: the limit Phi(m / d).
         return _phi(m / d)
     a, h = -m / d, gamma_th / (gamma_bar * d)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import DomainError
 from . import numerics
 
 __all__ = [
-    "TurbulenceProvenance",
     "TurbulenceParams",
     "PointingGeometry",
     "LinkConfig",
@@ -30,8 +29,6 @@ __all__ = [
     "pdf_b",
 ]
 
-_CONSISTENCY_TOL = 1e-9
-
 # Elements drawn and summed at a time by sample_aggregate. Changing it
 # changes the seed -> sample mapping of every run with more elements.
 _ELEMENT_CHUNK = 256
@@ -43,59 +40,15 @@ _TILE = 1 << 16
 
 
 @dataclass(frozen=True)
-class TurbulenceProvenance:
-    """Physical inputs that generated a (alpha, beta) pair."""
-
-    cn2: float  # refractive-index structure constant, m^(-2/3)
-    wavelength: float  # m
-    path_length: float  # m
-    aperture_radius: float  # m
-    rytov_var: float  # sigma_R^2
-    kappa2: float
-
-
-@dataclass(frozen=True)
 class TurbulenceParams:
-    """Gamma-Gamma shape parameters, optionally with their physical origin."""
+    """Gamma-Gamma shape parameters."""
 
     alpha: float
     beta: float
-    provenance: Optional[TurbulenceProvenance] = None
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError("alpha and beta must be positive")
-        if self.provenance is not None:
-            p = self.provenance
-            ref_alpha, ref_beta, _, _ = _alpha_beta_from_physics(
-                p.cn2, p.wavelength, p.path_length, p.aperture_radius
-            )
-            for got, want, name in (
-                (self.alpha, ref_alpha, "alpha"),
-                (self.beta, ref_beta, "beta"),
-            ):
-                if abs(got - want) > _CONSISTENCY_TOL * abs(want):
-                    raise DomainError(
-                        f"{name}={got} inconsistent with provenance (expected {want})"
-                    )
-
-
-def _alpha_beta_from_physics(
-    cn2: float, wavelength: float, path_length: float, aperture_radius: float
-) -> Tuple[float, float, float, float]:
-    """(alpha, beta, sigma_R^2, kappa^2) from the atmospheric condition."""
-    k_w = 2.0 * math.pi / wavelength
-    sigma_r2 = 0.5 * cn2 * k_w ** (7.0 / 6.0) * path_length ** (11.0 / 6.0)
-    kappa2 = k_w * (2.0 * aperture_radius) ** 2 / (4.0 * path_length)
-    s65 = sigma_r2 ** (6.0 / 5.0)  # sigma_R^(12/5)
-    alpha = 1.0 / math.expm1(
-        0.49 * sigma_r2 / (1.0 + 0.18 * kappa2 + 0.56 * s65) ** (7.0 / 6.0)
-    )
-    beta = 1.0 / math.expm1(
-        0.51 * sigma_r2 * (1.0 + 0.69 * s65) ** (-5.0 / 6.0)
-        / (1.0 + 0.9 * kappa2 + 0.62 * kappa2 * s65) ** (5.0 / 6.0)
-    )
-    return alpha, beta, sigma_r2, kappa2
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise DomainError("alpha and beta must be positive and finite")
 
 
 def derive_turbulence(
@@ -114,11 +67,21 @@ def derive_turbulence(
     ):
         if not val > 0:
             raise DomainError(f"{name} must be positive, got {val}")
-    alpha, beta, sigma_r2, kappa2 = _alpha_beta_from_physics(
-        cn2, wavelength, path_length, aperture_radius
-    )
-    prov = TurbulenceProvenance(cn2, wavelength, path_length, aperture_radius, sigma_r2, kappa2)
-    return TurbulenceParams(alpha=alpha, beta=beta, provenance=prov)
+    k_w = 2.0 * math.pi / wavelength
+    try:
+        sigma_r2 = 0.5 * cn2 * k_w ** (7.0 / 6.0) * path_length ** (11.0 / 6.0)
+        kappa2 = k_w * (2.0 * aperture_radius) ** 2 / (4.0 * path_length)
+        s65 = sigma_r2 ** (6.0 / 5.0)  # sigma_R^(12/5)
+        alpha = 1.0 / math.expm1(
+            0.49 * sigma_r2 / (1.0 + 0.18 * kappa2 + 0.56 * s65) ** (7.0 / 6.0)
+        )
+        beta = 1.0 / math.expm1(
+            0.51 * sigma_r2 * (1.0 + 0.69 * s65) ** (-5.0 / 6.0)
+            / (1.0 + 0.9 * kappa2 + 0.62 * kappa2 * s65) ** (5.0 / 6.0)
+        )
+    except (OverflowError, ZeroDivisionError) as exc:  # a float range exceeded, or 1 / 0
+        raise DomainError("the atmospheric inputs give no finite turbulence shapes") from exc
+    return TurbulenceParams(alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -151,6 +114,8 @@ class PointingGeometry:
         if not (self.beam_width > 0 and self.aperture_radius > 0):
             raise DomainError("beam width and aperture radius must be positive")
         nu = math.sqrt(math.pi / 2.0) * self.aperture_radius / self.beam_width
+        if not nu > 0:  # a / w underflowed
+            raise DomainError(f"derived constant nu = {nu:g} is not a positive finite number")
         try:
             wzeq2 = (
                 self.beam_width ** 2
@@ -177,12 +142,6 @@ class PointingGeometry:
     @property
     def total_distance(self) -> float:
         return self.distance_l1 + self.distance_l2
-
-    @property
-    def effective_jitter_var(self) -> float:
-        """Variance of each component of the superimposed jitter angle."""
-        ratio = 1.0 + self.distance_l1 / self.distance_l2
-        return ratio ** 2 * self.sigma_theta ** 2 + 4.0 * self.sigma_beta ** 2
 
     @classmethod
     def from_exponent(
@@ -224,8 +183,8 @@ def check_link(n_elements=None, gamma_bar=None, gamma_th=None, psi=None) -> None
     if n_elements is not None and not (isinstance(n_elements, (int, np.integer))
                                        and n_elements >= 1):
         raise DomainError("n_elements must be an integer >= 1")
-    if gamma_bar is not None and not gamma_bar > 0:
-        raise DomainError("gamma_bar must be positive")
+    if gamma_bar is not None and not 0 < gamma_bar < math.inf:
+        raise DomainError("gamma_bar must be positive and finite")
     if gamma_th is not None and not gamma_th >= 0:
         raise DomainError("gamma_th must be non-negative")
     if psi is not None and not psi > 0:
@@ -261,10 +220,19 @@ def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size) -> np.ndarray:
     construction behind the Gamma-Gamma density. All alpha variates come
     first, then all beta variates.
     """
-    g = _as_generator(rng)
-    x = g.gamma(t.alpha, 1.0 / t.alpha, size)
-    x *= g.gamma(t.beta, 1.0 / t.beta, size)
-    return x
+    return _turbulence_gain(t, _as_generator(rng), np.empty(size), np.empty(size))
+
+
+def _turbulence_gain(t: TurbulenceParams, g: np.random.Generator, h: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """Unit-mean Gamma-Gamma draws into h, in place (w is scratch): the bits of
+    g.gamma(alpha, 1 / alpha, h.shape) * g.gamma(beta, 1 / beta, h.shape)."""
+    g.standard_gamma(t.alpha, out=h)
+    h *= 1.0 / t.alpha
+    g.standard_gamma(t.beta, out=w)
+    w *= 1.0 / t.beta
+    h *= w
+    return h
 
 
 def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size) -> np.ndarray:
@@ -280,7 +248,8 @@ def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size) -> np.ndarray:
 def _pointing_gain(geo: PointingGeometry, e: np.ndarray) -> np.ndarray:
     """A0 exp(-e / c) of standard exponentials e, in place."""
     np.negative(e, out=e)
-    e /= geo.c
+    with np.errstate(over="ignore"):  # e / c = -inf gives exp = 0, the exact gain
+        e /= geo.c
     np.exp(e, out=e)
     e *= geo.a0
     return e
@@ -314,11 +283,7 @@ def sample_aggregate(
         for r in range(0, size, step):
             rows = min(step, size - r)
             h, w = buf[:, :rows * cols]
-            g.standard_gamma(t.alpha, out=h)  # the bits of g.gamma(alpha, 1 / alpha)
-            h *= 1.0 / t.alpha
-            g.standard_gamma(t.beta, out=w)
-            w *= 1.0 / t.beta
-            h *= w
+            _turbulence_gain(t, g, h, w)
             h *= _pointing_gain(geo, g.standard_exponential(out=w))
             h *= h
             z[r:r + rows] += np.sum(h.reshape(rows, cols), axis=-1)
@@ -328,12 +293,15 @@ def sample_aggregate(
 def pdf_b(x, t: TurbulenceParams, geo: PointingGeometry):
     """Density of the per-element squared composite gain B = (h_a h_p)^2."""
     a, b, c, a0 = t.alpha, t.beta, geo.c, geo.a0
-    pref = a * b * c / (2.0 * math.gamma(a) * math.gamma(b) * a0)
+    # ln of the prefactor a b c / (2 Gamma(a) Gamma(b) A0): Gamma(172) is past the float range.
+    log_pref = (math.log(a) + math.log(b) + math.log(c) - math.log(2.0 * a0)
+                - math.lgamma(a) - math.lgamma(b))
     bees = (c - 1.0, a - 1.0, b - 1.0)
     xs = np.asarray(x, dtype=float)
     bad = ~((xs > 0.0) & (xs < math.inf))
     if bad.any():
         raise DomainError(f"pdf_b requires finite x > 0, got {xs[bad][0]}")
     # pref / sqrt(x) goes in as a log: at tiny x the density is a normal float where G is not.
-    return numerics.meijer_g_1330(c, bees, a * b * np.sqrt(xs) / a0,
-                                  log_factor=math.log(pref) - 0.5 * np.log(xs))
+    with np.errstate(over="ignore"):  # meijer_g_1330 rejects an argument of inf
+        z = a * b * np.sqrt(xs) / a0
+    return numerics.meijer_g_1330(c, bees, z, log_factor=log_pref - 0.5 * np.log(xs))

@@ -387,7 +387,7 @@ def _log_bessel_k(nu: float, u):
 
 
 def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0):
-    """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real parameters, a1 > b1 and 0 < x < inf.
+    """G^{3,0}_{1,3}(x | a1 ; b1, b2, b3) for real a1 > b1, |b2 - b3| <= 1e4 and 0 < x < inf.
 
     Gamma(b1+s) / Gamma(a1+s) and Gamma(b2+s) Gamma(b3+s) are the Mellin transforms
     of a Beta kernel and of 2 y^((b2+b3)/2) K_{b2-b3}(2 sqrt(y)), so G is
@@ -408,6 +408,9 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0
     b1, b2, b3 = b
     if not a1 > b1:
         raise DomainError(f"meijer_g_1330 implemented for a1 > b1, got {a1} <= {b1}")
+    # Its Bessel K recurrence makes |b2 - b3| steps: at 1e4, 1.4 s for a 100-point pdf_b.
+    if not abs(b2 - b3) <= 1e4:
+        raise DomainError(f"meijer_g_1330 implemented for |b2 - b3| <= 1e4, got {abs(b2 - b3):g}")
     lam = b2 + b3 - 2.0 * b1 - 1.0
     x = xs.ravel()
     u0 = 2.0 * np.sqrt(x)
@@ -435,10 +438,13 @@ def meijer_g_1330(a1: float, b: Tuple[float, float, float], x, *, log_factor=0.0
     total, _, why = integrate_qk21(integrand, lo, hi, owner, len(x), 1e-12)
     log_scale = (b1 * np.log(x) - (lam - 1.0) * math.log(2.0) - math.lgamma(a1 - b1) + ref
                  + np.ravel(log_factor))
-    g = np.exp(log_scale) * total
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        g = np.exp(log_scale) * total
     # Far past the peak the integrand keeps only the digits that ln u0 + s keeps, so
     # the quadrature can stop short; there the scale underflows and the value is 0 anyway.
     for xi, w, gi in zip(x, why, g):
+        if not gi < math.inf:  # the scale overflowed: inf, or inf * 0
+            raise DomainError(f"meijer_g_1330 at x={xi:g} is past the float range")
         if w is not None and gi != 0.0:
             raise DomainError(f"meijer_g_1330 quadrature at x={xi:g}: {w}")
     return g.reshape(xs.shape)[()]

@@ -239,6 +239,12 @@ class TestOutage:
     def test_certain_outage_at_low_snr(self, ms):
         assert analytic.outage_probability(1.0, ms, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("gbar", [1.0, 1e300])
+    def test_infinite_threshold_is_the_mass_above_zero(self, turb, geo, gbar):
+        # At N = 2^63 - 1 and 1e300, m gbar overflows, where inf - inf read nan.
+        ms = analytic.moments(turb, geo, 2**63 - 1)
+        assert analytic.outage_probability(math.inf, ms, gbar) == analytic._phi(ms.m / ms.delta)
+
     def test_matches_quadrature(self, ms):
         for gbar in (0.001, 0.01, 0.05):
             got = analytic.outage_probability(1.0, ms, gbar)
@@ -567,7 +573,8 @@ class TestOracleMetric:
         ((first, bad, last),) = analytic.oracle_metric("ber_exactQ", [ms], [1.0, 1e300, -1.0])
         assert first == analytic.oracle_metric("ber_exactQ", ms, 1.0)
         assert isinstance(bad, DomainError) and "out of float range" in str(bad)
-        assert isinstance(last, DomainError) and str(last) == "gamma_bar must be positive"
+        assert isinstance(last, DomainError)
+        assert str(last) == "gamma_bar must be positive and finite"
 
     def test_exactq_oracle_limits(self, ms):
         # At vanishing SNR the exact-Q average approaches Q(0) = 1/2
