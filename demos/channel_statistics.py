@@ -44,8 +44,8 @@ print()
 
 # --- Sample the gains and verify their laws -------------------------------
 n = 200_000
-ha = channel.sample_h_a(turb, channel.RandomStream(seed=1, stream_id=0), n)
-hp = channel.sample_h_p(geo, channel.RandomStream(seed=1, stream_id=1), n)
+ha = channel.sample_h_a(turb, channel.random_stream(seed=1, stream_id=0), n)
+hp = channel.sample_h_p(geo, channel.random_stream(seed=1, stream_id=1), n)
 
 print(f"Turbulence gain h_a ({n} samples):")
 print(f"  mean   = {ha.mean():.4f}   (exact: 1)")
@@ -61,7 +61,7 @@ print()
 
 # --- Aggregate over N reflecting elements ---------------------------------
 cfg = channel.LinkConfig(n_elements=128, gamma_bar=channel.LinkConfig.db_to_linear(20.0))
-z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(seed=2), 50_000)
+z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(seed=2), 50_000)
 ms = analytic.moments(turb, geo, cfg.n_elements)
 print(f"Aggregate squared gain Z over N = {cfg.n_elements} elements:")
 print(f"  sample mean     = {z.mean():.6f}   (closed form m = {ms.m:.6f})")

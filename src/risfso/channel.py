@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -21,7 +20,7 @@ __all__ = [
     "PointingGeometry",
     "LinkConfig",
     "check_link",
-    "RandomStream",
+    "random_stream",
     "derive_turbulence",
     "sample_h_a",
     "sample_h_p",
@@ -191,28 +190,17 @@ def check_link(n_elements=None, gamma_bar=None, gamma_th=None, psi=None) -> None
         raise DomainError("psi must be positive")
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """Reproducible, independent random stream identified by (seed, stream_id)."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(ss))
+def random_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The reproducible, independent generator of (seed, stream_id): block k of
+    seed s is PCG64(SeedSequence(s, spawn_key=(k,)))."""
+    for name, val in (("seed", seed), ("stream_id", stream_id)):
+        if not (isinstance(val, (int, np.integer)) and val >= 0):
+            raise DomainError(f"{name} must be an integer >= 0, got {val!r}")
+    ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
-GeneratorLike = Union[RandomStream, np.random.Generator]
-
-
-def _as_generator(rng: GeneratorLike) -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    return rng
-
-
-def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size) -> np.ndarray:
+def sample_h_a(t: TurbulenceParams, rng: np.random.Generator, size) -> np.ndarray:
     """Unit-mean Gamma-Gamma turbulence gain samples.
 
     Drawn as the product of two independent unit-mean Gamma variates
@@ -220,7 +208,7 @@ def sample_h_a(t: TurbulenceParams, rng: GeneratorLike, size) -> np.ndarray:
     construction behind the Gamma-Gamma density. All alpha variates come
     first, then all beta variates.
     """
-    return _turbulence_gain(t, _as_generator(rng), np.empty(size), np.empty(size))
+    return _turbulence_gain(t, rng, np.empty(size), np.empty(size))
 
 
 def _turbulence_gain(t: TurbulenceParams, g: np.random.Generator, h: np.ndarray,
@@ -235,14 +223,14 @@ def _turbulence_gain(t: TurbulenceParams, g: np.random.Generator, h: np.ndarray,
     return h
 
 
-def sample_h_p(geo: PointingGeometry, rng: GeneratorLike, size) -> np.ndarray:
+def sample_h_p(geo: PointingGeometry, rng: np.random.Generator, size) -> np.ndarray:
     """Pointing-error gain samples in (0, A0], by inverse CDF.
 
     The superimposed jitter is isotropic Gaussian, so r^2 / (2 sigma_r^2)
     is standard exponential and h_p = A0 exp(-E / c) has the CDF
     (h / A0)^c of the beam-profile model.
     """
-    return _pointing_gain(geo, _as_generator(rng).standard_exponential(size))
+    return _pointing_gain(geo, rng.standard_exponential(size))
 
 
 def _pointing_gain(geo: PointingGeometry, e: np.ndarray) -> np.ndarray:
@@ -259,7 +247,7 @@ def sample_aggregate(
     t: TurbulenceParams,
     geo: PointingGeometry,
     cfg: LinkConfig,
-    rng: GeneratorLike,
+    rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
     """Draw Z = sum_k (h_a_k h_p_k)^2 over cfg.n_elements elements; the SNR is
@@ -274,7 +262,6 @@ def sample_aggregate(
     part of the seed -> sample mapping. Up to _ELEMENT_CHUNK elements and
     _TILE // N rows, the draws and the sum are those of a single tile.
     """
-    g = _as_generator(rng)
     z = np.zeros(size)
     buf = np.empty((2, _TILE))
     for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
@@ -283,8 +270,8 @@ def sample_aggregate(
         for r in range(0, size, step):
             rows = min(step, size - r)
             h, w = buf[:, :rows * cols]
-            _turbulence_gain(t, g, h, w)
-            h *= _pointing_gain(geo, g.standard_exponential(out=w))
+            _turbulence_gain(t, rng, h, w)
+            h *= _pointing_gain(geo, rng.standard_exponential(out=w))
             h *= h
             z[r:r + rows] += np.sum(h.reshape(rows, cols), axis=-1)
     return z

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import analytic, channel
-from .channel import LinkConfig, PointingGeometry, RandomStream, TurbulenceParams
+from .channel import LinkConfig, PointingGeometry, TurbulenceParams
 from .errors import DomainError
 
 __all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
@@ -206,7 +206,7 @@ def estimate_grid(
 
     def do_block(item: Tuple[int, int]):
         block_id, count = item
-        z = channel.sample_aggregate(t, g, base_cfg, RandomStream(seed, block_id), count)
+        z = channel.sample_aggregate(t, g, base_cfg, channel.random_stream(seed, block_id), count)
         out = {}
         # The (gamma_bar, sample) array is evaluated one _SLICE of values at a
         # time, which bounds each temporary for any grid length; a row's sums

@@ -30,7 +30,7 @@ def report(capsys, num: int, name: str, ok: bool, detail: str):
 
 def test_criterion_1_sampler_fidelity(capsys):
     t0 = time.perf_counter()
-    hp = channel.sample_h_p(GEO, channel.RandomStream(101, 0), 1_000_000)
+    hp = channel.sample_h_p(GEO, channel.random_stream(101, 0), 1_000_000)
     ks, _ = stats.kstest(hp, lambda x: np.clip(x / GEO.a0, 0.0, 1.0) ** GEO.c)
 
     # Streaming mean/variance of B over 1e7 samples in 1e6-sample chunks.
@@ -38,8 +38,8 @@ def test_criterion_1_sampler_fidelity(capsys):
     s1 = s2 = 0.0
     for i in range(n_total // chunk):
         h = channel.sample_h_a(
-            TURB, channel.RandomStream(102, 2 * i), chunk
-        ) * channel.sample_h_p(GEO, channel.RandomStream(102, 2 * i + 1), chunk)
+            TURB, channel.random_stream(102, 2 * i), chunk
+        ) * channel.sample_h_p(GEO, channel.random_stream(102, 2 * i + 1), chunk)
         b = h * h
         s1 += float(np.sum(b))
         s2 += float(np.sum(b * b))
@@ -219,7 +219,9 @@ def test_criterion_6_capacity_fit_budget(capsys):
     )
 
 
-def test_criterion_7_determinism_and_merge(capsys, tmp_path):
+def test_criterion_7_determinism_and_merge(capsys, tmp_path, monkeypatch):
+    # Eight usable CPUs, so that the 8-worker run goes through the thread pool on any host.
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
     t0 = time.perf_counter()
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(

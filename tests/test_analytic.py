@@ -80,8 +80,8 @@ class TestMoments:
 
     def test_moments_match_sampler(self, turb, geo):
         h = channel.sample_h_a(
-            turb, channel.RandomStream(29, 0), 400_000
-        ) * channel.sample_h_p(geo, channel.RandomStream(29, 1), 400_000)
+            turb, channel.random_stream(29, 0), 400_000
+        ) * channel.sample_h_p(geo, channel.random_stream(29, 1), 400_000)
         b = h * h
         ms = analytic.moments(turb, geo, 1)
         assert b.mean() == pytest.approx(ms.m1, abs=4 * b.std() / math.sqrt(len(b)))

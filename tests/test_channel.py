@@ -129,14 +129,30 @@ class TestDerivePointing:
 
 class TestRandomStream:
     def test_same_seed_reproduces(self):
-        a = channel.RandomStream(2024, 3).generator().standard_normal(16)
-        b = channel.RandomStream(2024, 3).generator().standard_normal(16)
+        a = channel.random_stream(2024, 3).standard_normal(16)
+        b = channel.random_stream(2024, 3).standard_normal(16)
         assert np.array_equal(a, b)
 
     def test_distinct_stream_ids_differ(self):
-        a = channel.RandomStream(2024, 0).generator().standard_normal(16)
-        b = channel.RandomStream(2024, 1).generator().standard_normal(16)
+        a = channel.random_stream(2024, 0).standard_normal(16)
+        b = channel.random_stream(2024, 1).standard_normal(16)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2024, 3), (np.int64(7), np.uint8(2)),
+                                                 (2**63 - 1, 2**40)])
+    def test_is_the_spawned_pcg64_stream(self, seed, stream_id):
+        # Block k of seed s is PCG64(SeedSequence(s, spawn_key=(k,))), bit for bit.
+        ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+        want = np.random.Generator(np.random.PCG64(ss)).random(64)
+        assert np.array_equal(channel.random_stream(seed, stream_id).random(64), want)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, None, "3"])
+    @pytest.mark.parametrize("name", ["seed", "stream_id"])
+    def test_rejects_anything_but_an_integer_at_least_zero(self, name, bad):
+        args = {"seed": 1, "stream_id": 0, name: bad}
+        with pytest.raises(DomainError) as exc:
+            channel.random_stream(**args)
+        assert str(exc.value) == f"{name} must be an integer >= 0, got {bad!r}"
 
 
 # The 100-point x grid of the benchmark's pdf_b pass.
@@ -157,7 +173,7 @@ class TestSamplers:
     N_SAMPLES = 200_000
 
     def test_turbulence_gain_moments(self, turb):
-        h = channel.sample_h_a(turb, channel.RandomStream(7, 0), self.N_SAMPLES)
+        h = channel.sample_h_a(turb, channel.random_stream(7, 0), self.N_SAMPLES)
         assert np.all(h > 0)
         # E[h] = 1; E[h^2] = (1 + 1/alpha)(1 + 1/beta).
         m2 = (1 + 1 / turb.alpha) * (1 + 1 / turb.beta)
@@ -168,7 +184,7 @@ class TestSamplers:
     def test_turbulence_gain_cdf(self, turb):
         # Empirical CDF against P(XY <= h) = E_X[F_beta-gamma(h / X)],
         # computed by quadrature over the alpha-Gamma mixing density.
-        h = channel.sample_h_a(turb, channel.RandomStream(11, 0), self.N_SAMPLES)
+        h = channel.sample_h_a(turb, channel.random_stream(11, 0), self.N_SAMPLES)
         a, b = turb.alpha, turb.beta
         for q in (0.6, 1.0, 1.5):
             truth, _ = integrate.quad(
@@ -182,7 +198,7 @@ class TestSamplers:
             assert emp == pytest.approx(truth, abs=tol)
 
     def test_pointing_gain_support_and_law(self, geo):
-        h = channel.sample_h_p(geo, channel.RandomStream(13, 0), self.N_SAMPLES)
+        h = channel.sample_h_p(geo, channel.random_stream(13, 0), self.N_SAMPLES)
         assert np.all(h > 0) and np.all(h <= geo.a0)
         # CDF of h_p is (h / A0)^c on (0, A0].
         stat, _ = stats.kstest(h, lambda x: np.clip(x / geo.a0, 0, 1) ** geo.c)
@@ -202,7 +218,7 @@ class TestSamplers:
         # Reference: superimpose the transmitter and surface jitter angles
         # per axis and map the radial offset through the beam profile.
         geo = default_geometry(**overrides)
-        g = channel.RandomStream(29, 0).generator()
+        g = channel.random_stream(29, 0)
         ratio = 1.0 + geo.distance_l1 / geo.distance_l2
         shape = (2, self.N_SAMPLES)
         theta = ratio * g.normal(0.0, geo.sigma_theta, shape) + 2.0 * g.normal(
@@ -210,7 +226,7 @@ class TestSamplers:
         )
         r2 = np.sum(theta * theta, axis=0) * geo.distance_l2 ** 2
         reference = geo.a0 * np.exp(-2.0 * r2 / geo.wzeq2)
-        h = channel.sample_h_p(geo, channel.RandomStream(29, 1), self.N_SAMPLES)
+        h = channel.sample_h_p(geo, channel.random_stream(29, 1), self.N_SAMPLES)
         assert stats.ks_2samp(reference, h).pvalue > 0.01
 
     def test_pointing_gain_degenerate_jitter(self):
@@ -218,7 +234,7 @@ class TestSamplers:
         assert geo.c > 0
         h = channel.sample_h_p(
             default_geometry(sigma_theta=1e-12, sigma_beta=0.0),
-            channel.RandomStream(1, 0),
+            channel.random_stream(1, 0),
             100,
         )
         assert np.allclose(h, default_geometry().a0, rtol=1e-6)
@@ -227,7 +243,7 @@ class TestSamplers:
     def test_aggregate_matches_clt_moments(self, turb, geo, n_elements):
         # N = 300 sums one full element chunk and a partial second one.
         cfg = channel.LinkConfig(n_elements=n_elements, gamma_bar=2.5)
-        z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(17, 0), 50_000)
+        z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(17, 0), 50_000)
         ms = analytic.moments(turb, geo, cfg.n_elements)
         se_mean = z.std(ddof=1) / math.sqrt(len(z))
         assert z.mean() == pytest.approx(ms.m, abs=4 * se_mean)
@@ -236,8 +252,8 @@ class TestSamplers:
 
     def test_aggregate_reproducible(self, turb, geo):
         cfg = channel.LinkConfig(n_elements=8)
-        z1 = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
-        z2 = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 64)
+        z1 = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), 64)
+        z2 = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), 64)
         assert np.array_equal(z1, z2)
 
     @pytest.mark.parametrize("sampler", ["sample_h_a", "sample_h_p", "sample_aggregate"])
@@ -248,7 +264,7 @@ class TestSamplers:
             "sample_aggregate": (turb, geo, channel.LinkConfig(n_elements=8)),
         }[sampler]
         with pytest.raises(TypeError, match="size"):
-            getattr(channel, sampler)(*args, channel.RandomStream(3))
+            getattr(channel, sampler)(*args, channel.random_stream(3))
 
     @pytest.mark.parametrize("size", [1, 64])
     @pytest.mark.parametrize("n_elements", [1, 128, 256])
@@ -256,8 +272,8 @@ class TestSamplers:
         # Up to one element chunk, Z is the plain sum over all N elements
         # drawn in one call each, bit for bit.
         cfg = channel.LinkConfig(n_elements=n_elements)
-        z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
-        g = channel.RandomStream(5, 2).generator()
+        z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), size)
+        g = channel.random_stream(5, 2)
         shape = (size, n_elements)
         h = channel.sample_h_a(turb, g, shape) * channel.sample_h_p(geo, g, shape)
         ref = np.sum(h * h, axis=-1)
@@ -274,8 +290,8 @@ class TestSamplers:
         step = channel._TILE // min(n_elements, channel._ELEMENT_CHUNK)
         size = {"step-1": step - 1, "step+1": step + 1}.get(size, size)
         cfg = channel.LinkConfig(n_elements=n_elements)
-        z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
-        g = channel.RandomStream(5, 2).generator()
+        z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), size)
+        g = channel.random_stream(5, 2)
         ref = np.zeros(size)
         for start in range(0, n_elements, 256):
             cols = min(256, n_elements - start)
@@ -293,7 +309,7 @@ class TestSamplers:
         cfg = channel.LinkConfig(n_elements=n_elements)
         tracemalloc.start()
         try:
-            channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 4096)
+            channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -307,7 +323,7 @@ class TestSamplers:
         for size in (4096, 65536):
             tracemalloc.start()
             try:
-                channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), size)
+                channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), size)
                 extra[size] = tracemalloc.get_traced_memory()[1] - 8 * size
             finally:
                 tracemalloc.stop()
@@ -319,7 +335,7 @@ class TestSamplers:
             cfg = channel.LinkConfig(n_elements=n)
             tracemalloc.start()
             try:
-                channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(5, 2), 512)
+                channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), 512)
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -330,8 +346,8 @@ class TestSamplers:
 class TestDensities:
     def test_pdf_b_matches_sampler_histogram(self, turb, geo):
         h = channel.sample_h_a(
-            turb, channel.RandomStream(19, 0), 200_000
-        ) * channel.sample_h_p(geo, channel.RandomStream(19, 1), 200_000)
+            turb, channel.random_stream(19, 0), 200_000
+        ) * channel.sample_h_p(geo, channel.random_stream(19, 1), 200_000)
         b = h * h
         edges = np.quantile(b, np.linspace(0.05, 0.95, 7))
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -375,7 +391,7 @@ class TestDensities:
         dists = []
         for n in (4, 16, 256):
             cfg = channel.LinkConfig(n_elements=n, gamma_bar=1.0)
-            z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(23, n), 20_000)
+            z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(23, n), 20_000)
             ms = analytic.moments(turb, geo, n)
             stat, _ = stats.kstest(
                 z, stats.norm(loc=ms.m, scale=math.sqrt(ms.delta_sq)).cdf

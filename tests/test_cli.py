@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from risfso import analytic, channel, cli, numerics
+from risfso import analytic, channel, cli, montecarlo, numerics
 from risfso.errors import ConfigError, DomainError
 
 
@@ -317,13 +317,19 @@ class TestRunSweepAndEmit:
                 assert row.oracle == want
 
     def test_each_block_drawn_once_for_all_metrics(self, tmp_path, monkeypatch):
-        streams = []
-        sample = channel.sample_aggregate
+        streams, block_of = [], {}
+        sample, stream = channel.sample_aggregate, channel.random_stream
+
+        def labelled(seed, stream_id=0):
+            rng = stream(seed, stream_id)
+            block_of[rng] = stream_id
+            return rng
 
         def counted(t, g, cfg, rng, size):
-            streams.append((cfg.n_elements, rng.stream_id))
+            streams.append((cfg.n_elements, block_of[rng]))
             return sample(t, g, cfg, rng, size)
 
+        monkeypatch.setattr(channel, "random_stream", labelled)
         monkeypatch.setattr(channel, "sample_aggregate", counted)
         path = write_config(tmp_path, "link.gamma_bar_db = 0,10\nlink.n_elements = 4,16\n"
                             "sweep.metrics = outage,ber,capacity\nmc.samples = 10000\n"
@@ -580,9 +586,12 @@ class TestMainEntry:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_sweep_workers_invisible_in_output(self, tmp_path, capsys):
+    def test_sweep_workers_invisible_in_output(self, tmp_path, capsys, monkeypatch):
+        # Eight usable CPUs, so that the 8-worker run spreads its three blocks
+        # over the thread pool on any host.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
         cfg = FAST_CONFIG.replace("include_mc = false", "include_mc = true")
-        cfg += "mc.samples = 2000\n"
+        cfg += "mc.samples = 12288\n"
         path = write_config(tmp_path, cfg)
         outputs = []
         for w in ("1", "8"):

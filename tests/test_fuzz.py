@@ -6,8 +6,8 @@ and ``validate``) on configs that set random keys to values from a fixed list
 of extremes. Each run must exit 0 or 2, raise nothing and warn nothing; on
 exit 0 it prints a table and nothing on stderr, on exit 2 only ``error: ``
 lines. Part two calls the public constructors, derive_turbulence, each closed
-form, the oracle and pdf_b with the same extremes, and accepts a value (not
-nan) or a RisFsoError.
+form, the oracle, pdf_b and random_stream with the same extremes, and accepts
+a value (not nan) or a RisFsoError.
 
 Monte Carlo runs only at mc.samples = 1000, N <= 256 and at most 2 workers: a
 huge N or sample count goes only into MC-off or validate runs. The fuzz checks
@@ -198,6 +198,10 @@ def _library_calls(rng):
         kind = rng.choice(analytic.METRIC_KINDS)
         yield analytic.oracle_metric, (kind, ms, gb), dict(
             gamma_th=real(), psi=real(), n=rng.choice(X_COUNTS[:5] + (-1, 1.5)), s=real())
+    # After the loop above, so that its draws stay those of the earlier seeds.
+    stream_args = X_COUNTS + X_REALS + (None, "3", np.int64(5), np.uint8(1), 2**200)
+    for _ in range(50):
+        yield channel.random_stream, (rng.choice(stream_args), rng.choice(stream_args)), {}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

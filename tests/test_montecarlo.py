@@ -238,7 +238,7 @@ class TestEstimateGrid:
         gammas = np.geomspace(0.1, 1e4, montecarlo._SLICE // 4_096 + 3).tolist()
         grid = montecarlo.estimate_grid(kinds, turb, geo, cfg, gammas, 8_192, seed=21)
         for b in range(2):
-            z = channel.sample_aggregate(turb, geo, cfg, channel.RandomStream(21, b), 4_096)
+            z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(21, b), 4_096)
             for kind in kinds:
                 for gb in gammas:
                     vals = analytic._FORMS[kind](gb * z, cfg.gamma_th, cfg.psi, 1, 0.0)
