@@ -37,6 +37,14 @@ _ELEMENT_CHUNK = 256
 # tile. It is part of the seed -> sample mapping of every block with more rows.
 _TILE = 1 << 16
 
+# Values (128 KiB of float64) of the scratch window through which the beta
+# variates and the exponentials of a draw go, after its alpha variates are
+# drawn whole. The generator gives the same bits in any number of calls, so
+# the window is not part of the seed -> sample mapping. On a 2-CPU host an
+# 8K-value window made 2-worker Monte Carlo about 8% slower, from more, shorter
+# numpy calls.
+_WINDOW = 1 << 14
+
 
 @dataclass(frozen=True)
 class TurbulenceParams:
@@ -200,6 +208,19 @@ def random_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _is_count(n) -> bool:
+    """Whether n is an integer >= 0; numpy takes no bool for a dimension."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
+def _shape(size) -> tuple:
+    """size as a shape: a count or a tuple of counts."""
+    dims = size if isinstance(size, tuple) else (size,)
+    if not all(map(_is_count, dims)):
+        raise DomainError(f"size must be an integer >= 0 or a tuple of them, got {size!r}")
+    return dims
+
+
 def sample_h_a(t: TurbulenceParams, rng: np.random.Generator, size) -> np.ndarray:
     """Unit-mean Gamma-Gamma turbulence gain samples.
 
@@ -208,19 +229,29 @@ def sample_h_a(t: TurbulenceParams, rng: np.random.Generator, size) -> np.ndarra
     construction behind the Gamma-Gamma density. All alpha variates come
     first, then all beta variates.
     """
-    return _turbulence_gain(t, rng, np.empty(size), np.empty(size))
+    h = np.empty(_shape(size))
+    _turbulence_gain(t, rng, h.reshape(-1), np.empty(min(h.size, _WINDOW)))
+    return h
 
 
 def _turbulence_gain(t: TurbulenceParams, g: np.random.Generator, h: np.ndarray,
-                     w: np.ndarray) -> np.ndarray:
-    """Unit-mean Gamma-Gamma draws into h, in place (w is scratch): the bits of
-    g.gamma(alpha, 1 / alpha, h.shape) * g.gamma(beta, 1 / beta, h.shape)."""
+                     w: np.ndarray) -> None:
+    """Unit-mean Gamma-Gamma draws into the flat array h, in place: the bits of
+    g.gamma(alpha, 1 / alpha, h.size) * g.gamma(beta, 1 / beta, h.size). The
+    alpha variates go straight into h, the beta variates through the scratch
+    window w of min(h.size, _WINDOW) values."""
     g.standard_gamma(t.alpha, out=h)
     h *= 1.0 / t.alpha
-    g.standard_gamma(t.beta, out=w)
-    w *= 1.0 / t.beta
-    h *= w
-    return h
+    for part in _windows(h):
+        v = w[:part.size]
+        g.standard_gamma(t.beta, out=v)
+        v *= 1.0 / t.beta
+        part *= v
+
+
+def _windows(h: np.ndarray):
+    """The consecutive views of the flat array h, _WINDOW values each but the last."""
+    return (h[i:i + _WINDOW] for i in range(0, h.size, _WINDOW))
 
 
 def sample_h_p(geo: PointingGeometry, rng: np.random.Generator, size) -> np.ndarray:
@@ -230,7 +261,7 @@ def sample_h_p(geo: PointingGeometry, rng: np.random.Generator, size) -> np.ndar
     is standard exponential and h_p = A0 exp(-E / c) has the CDF
     (h / A0)^c of the beam-profile model.
     """
-    return _pointing_gain(geo, rng.standard_exponential(size))
+    return _pointing_gain(geo, rng.standard_exponential(_shape(size)))
 
 
 def _pointing_gain(geo: PointingGeometry, e: np.ndarray) -> np.ndarray:
@@ -256,23 +287,27 @@ def sample_aggregate(
     The elements are drawn and summed _ELEMENT_CHUNK at a time, and each
     chunk of cols elements _TILE // cols rows at a time. Per tile, the one
     generator gives all its alpha variates, then its beta variates, then its
-    exponentials: the draws of sample_h_a and sample_h_p on the tile's shape,
-    made in place in one (2, _TILE) buffer. So a block holds the buffer
-    (1 MiB) and Z for any N and size, and _ELEMENT_CHUNK and _TILE are both
-    part of the seed -> sample mapping. Up to _ELEMENT_CHUNK elements and
-    _TILE // N rows, the draws and the sum are those of a single tile.
+    exponentials: the draws of sample_h_a and sample_h_p on the tile's shape.
+    The alpha variates fill a _TILE buffer and the rest go through a
+    _WINDOW buffer, so a block holds 640 KiB and Z for any N and size, and
+    _ELEMENT_CHUNK and _TILE are both part of the seed -> sample mapping. Up
+    to _ELEMENT_CHUNK elements and _TILE // N rows, the draws and the sum are
+    those of a single tile.
     """
+    if not _is_count(size):
+        raise DomainError(f"size must be an integer >= 0, got {size!r}")
     z = np.zeros(size)
-    buf = np.empty((2, _TILE))
+    tile, w = np.empty(_TILE), np.empty(_WINDOW)
     for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
         cols = min(_ELEMENT_CHUNK, cfg.n_elements - start)
         step = _TILE // cols
         for r in range(0, size, step):
             rows = min(step, size - r)
-            h, w = buf[:, :rows * cols]
+            h = tile[:rows * cols]
             _turbulence_gain(t, rng, h, w)
-            h *= _pointing_gain(geo, rng.standard_exponential(out=w))
-            h *= h
+            for part in _windows(h):
+                part *= _pointing_gain(geo, rng.standard_exponential(out=w[:part.size]))
+                part *= part
             z[r:r + rows] += np.sum(h.reshape(rows, cols), axis=-1)
     return z
 

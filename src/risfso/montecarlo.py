@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from . import analytic, channel
 from .channel import LinkConfig, PointingGeometry, TurbulenceParams
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
            "confidence_interval"]
@@ -38,15 +41,26 @@ BlockStats = Tuple[int, float, float]  # (count, sum, sum of squares)
 # against 15.7k with 512 KiB slices.
 _SLICE = 1 << 13
 
-# Worker pools by size, kept for the life of the process. glibc gives a new
-# thread a malloc arena of its own when no free one is at hand, and each arena
-# keeps up to a block's memory once the block is done. With a pool per call,
-# how many arenas a run ends up with (and so its peak memory) would depend on
-# when the last call's threads and any other thread happen to exit; a kept
-# pool's threads keep their arenas.
-_POOLS: Dict[int, ThreadPoolExecutor] = {}
+# Pools of the threads that run blocks beside the caller, by thread count, kept
+# for the life of the process. glibc gives a new thread a malloc arena of its
+# own when no free one is at hand, and each arena keeps up to a block's memory
+# once the block is done. With a pool per call, how many arenas a run ends up
+# with (and so its peak memory) would depend on when the last call's threads
+# and any other thread happen to exit; a kept pool's threads keep their arenas.
+_POOLS: Dict[int, "ThreadPoolExecutor"] = {}
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOLS.clear)  # a forked child has no threads
+
+
+def _pool(threads: int) -> "ThreadPoolExecutor":
+    """The kept pool of this many threads. concurrent.futures is imported here,
+    so a process that runs every block on its calling thread never loads it."""
+    pool = _POOLS.get(threads)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = _POOLS.setdefault(threads, ThreadPoolExecutor(threads,
+                                                             thread_name_prefix="risfso-mc"))
+    return pool
 
 
 def _usable_cpus() -> int:
@@ -226,23 +240,35 @@ def estimate_grid(
                         out[kind, gb] = (count, s1, s2)
         return block_id, out
 
-    plan = _block_plan(n_samples, first_stream)
+    # The caller and up to workers - 1 pool threads take blocks from one plan.
     # Threads past the usable CPUs gain no speed, and each running block holds
     # its own tile buffer, so they would only add memory.
-    workers = min(workers, _usable_cpus())
-    if workers > 1:
-        pool = _POOLS.get(workers) or _POOLS.setdefault(
-            workers, ThreadPoolExecutor(workers, thread_name_prefix="risfso-mc"))
-        futures = [pool.submit(do_block, item) for item in plan]
-        try:
-            per_block = dict(f.result() for f in futures)
-        finally:
-            # After a failed block, no other block goes on past the call.
-            for f in futures:
-                f.cancel()
-            wait(futures)
-    else:
-        per_block = dict(map(do_block, plan))
+    plan = _block_plan(n_samples, first_stream)
+    todo = iter(plan)
+    lock = threading.Lock()
+    failed: Dict[int, BaseException] = {}
+
+    def take() -> List[Tuple[int, dict]]:
+        """Run blocks of the plan until none is left or one has failed."""
+        done = []
+        while True:
+            with lock:
+                item = None if failed else next(todo, None)
+            if item is None:
+                return done
+            try:
+                done.append(do_block(item))
+            except BaseException as exc:  # the caller's interrupt stops the others too
+                with lock:
+                    failed[item[0]] = exc
+
+    helpers = min(workers, _usable_cpus(), len(plan)) - 1
+    futures = [_pool(helpers).submit(take) for _ in range(helpers)] if helpers > 0 else []
+    per_block = dict(take())
+    for f in futures:
+        per_block.update(f.result())
+    if failed:
+        raise failed[min(failed)]
 
     return {
         kind: {gb: McEstimate(kind, fp, seed, {b: out[kind, gb] for b, out in per_block.items()})

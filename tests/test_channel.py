@@ -266,6 +266,20 @@ class TestSamplers:
         with pytest.raises(TypeError, match="size"):
             getattr(channel, sampler)(*args, channel.random_stream(3))
 
+    @pytest.mark.parametrize("size", [-1, 1.5, None, "3", True, [2, 3], (2, -1)])
+    @pytest.mark.parametrize("sampler", ["sample_h_a", "sample_h_p", "sample_aggregate"])
+    def test_rejects_a_size_that_is_no_count_or_shape(self, turb, geo, sampler, size):
+        args = {
+            "sample_h_a": (turb,),
+            "sample_h_p": (geo,),
+            "sample_aggregate": (turb, geo, channel.LinkConfig(n_elements=8)),
+        }[sampler]
+        what = ("an integer >= 0" if sampler == "sample_aggregate"
+                else "an integer >= 0 or a tuple of them")
+        with pytest.raises(DomainError) as exc:
+            getattr(channel, sampler)(*args, channel.random_stream(3), size)
+        assert str(exc.value) == f"size must be {what}, got {size!r}"
+
     @pytest.mark.parametrize("size", [1, 64])
     @pytest.mark.parametrize("n_elements", [1, 128, 256])
     def test_single_chunk_aggregate_is_the_unchunked_sum(self, turb, geo, n_elements, size):
@@ -302,18 +316,50 @@ class TestSamplers:
         assert z.shape == ref.shape
         assert z.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("n_elements", [128, 4096])
+    @pytest.mark.parametrize("size", [1, 1000, 1490])
+    def test_draw_window_is_invisible(self, turb, geo, monkeypatch, size):
+        # The beta variates and exponentials go through a _WINDOW-value buffer
+        # that is not part of the seed -> sample mapping. At N = 300 the second
+        # chunk's 1489-row tiles (65,516 values) end inside a window, and each
+        # size ends on a partial last tile; at any window each tile is the
+        # public samplers' draw, and that is numpy's whole draw.
+        def whole(g, shape):
+            return (g.gamma(turb.alpha, 1.0 / turb.alpha, shape)
+                    * g.gamma(turb.beta, 1.0 / turb.beta, shape)
+                    * (geo.a0 * np.exp(-g.standard_exponential(shape) / geo.c)))
+
+        cfg = channel.LinkConfig(n_elements=300)
+        g = channel.random_stream(5, 2)
+        ref = np.zeros(size)
+        for cols in (256, 44):
+            for r in range(0, size, channel._TILE // cols):
+                h = whole(g, (min(channel._TILE // cols, size - r), cols))
+                ref[r:r + len(h)] += np.sum(h * h, axis=-1)
+        for window in (1000, channel._WINDOW, channel._TILE):
+            monkeypatch.setattr(channel, "_WINDOW", window)
+            z = channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), size)
+            assert z.tobytes() == ref.tobytes()
+            g = channel.random_stream(5, 2)
+            h = channel.sample_h_a(turb, g, (size, 300)) * channel.sample_h_p(geo, g, (size, 300))
+            assert h.tobytes() == whole(channel.random_stream(5, 2), (size, 300)).tobytes()
+
+    @pytest.mark.parametrize("n_elements", [128, 300, 4096])
     def test_aggregate_block_holds_one_tile_of_draws(self, turb, geo, n_elements):
-        # The (2, _TILE) buffer is 1 MiB for any N; holding a whole element
-        # chunk of draws took 4.5 MiB at N = 128 and 8.5 MiB at N = 4096.
+        # The alpha tile (512 KiB) and the draw window (128 KiB) for any N,
+        # read after a one-sample warm-up draw: 0.66 MiB at N = 128, 300 and
+        # 4096. The (2, _TILE) buffer before the window took 1.04 MiB, and a
+        # whole element chunk of draws 4.5 MiB at N = 128 and 8.5 MiB at
+        # N = 4096. N = 300's second chunk draws tiles that are no whole
+        # number of windows.
         cfg = channel.LinkConfig(n_elements=n_elements)
+        channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 1), 1)  # warm-up
         tracemalloc.start()
         try:
             channel.sample_aggregate(turb, geo, cfg, channel.random_stream(5, 2), 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2**20
+        assert peak <= 0.75 * 2**20
 
     def test_aggregate_memory_does_not_grow_with_size(self, turb, geo):
         # Beyond Z itself (8 bytes a sample), a block of 16 tiles' rows holds

@@ -632,7 +632,8 @@ v = spec.variants[0]
 value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
 channel.pdf_b(0.01, v.turbulence, v.pointing)
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"bare": bare, "scipy": scipy, "value": value}))
+futures = "concurrent.futures" in sys.modules
+print(json.dumps({"bare": bare, "scipy": scipy, "value": value, "futures": futures}))
 """
 
 
@@ -666,3 +667,10 @@ def test_no_scipy_module_loads_in_a_sweep_the_oracle_or_pdf_b(fresh_process):
     v = cli.validate_config(path).variants[0]
     want, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
     assert got["value"] == want
+
+
+def test_one_worker_sweep_loads_no_pool_module(fresh_process):
+    # At mc.workers = 1 the calling thread draws every block, so the sweep
+    # never imports concurrent.futures.
+    got, _ = fresh_process
+    assert got["futures"] is False

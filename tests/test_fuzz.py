@@ -6,8 +6,9 @@ and ``validate``) on configs that set random keys to values from a fixed list
 of extremes. Each run must exit 0 or 2, raise nothing and warn nothing; on
 exit 0 it prints a table and nothing on stderr, on exit 2 only ``error: ``
 lines. Part two calls the public constructors, derive_turbulence, each closed
-form, the oracle, pdf_b and random_stream with the same extremes, and accepts
-a value (not nan) or a RisFsoError.
+form, the oracle, pdf_b and random_stream with the same extremes, and the
+samplers with sizes that are and are not counts, and accepts a value (not nan)
+or a RisFsoError.
 
 Monte Carlo runs only at mc.samples = 1000, N <= 256 and at most 2 workers: a
 huge N or sample count goes only into MC-off or validate runs. The fuzz checks
@@ -202,6 +203,14 @@ def _library_calls(rng):
     stream_args = X_COUNTS + X_REALS + (None, "3", np.int64(5), np.uint8(1), 2**200)
     for _ in range(50):
         yield channel.random_stream, (rng.choice(stream_args), rng.choice(stream_args)), {}
+    # Sampler sizes: small counts and shapes, and what is neither.
+    sizes = (0, 1, 7, -1, 1.5, None, "3", True, np.int64(5), (2, 3), (2, -1), [2, 3])
+    cfg = channel.LinkConfig(n_elements=rng.choice((1, 16, 300)))
+    for _ in range(10):
+        size = rng.choice(sizes)
+        yield channel.sample_h_a, (base_t, channel.random_stream(1), size), {}
+        yield channel.sample_h_p, (base_g, channel.random_stream(1), size), {}
+        yield channel.sample_aggregate, (base_t, base_g, cfg, channel.random_stream(1), size), {}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
