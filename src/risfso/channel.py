@@ -54,8 +54,9 @@ class TurbulenceParams:
     beta: float
 
     def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise DomainError("alpha and beta must be positive and finite")
+        if not all(0 < x < math.inf and 1.0 / x < math.inf for x in (self.alpha, self.beta)):
+            raise DomainError("alpha and beta must be positive and finite, and so must "
+                              "1 / alpha and 1 / beta")
 
 
 def derive_turbulence(
@@ -187,9 +188,8 @@ class LinkConfig:
 def check_link(n_elements=None, gamma_bar=None, gamma_th=None, psi=None) -> None:
     """Raise DomainError where a link parameter that is given (not None) leaves its
     domain, nan included: the one statement of each rule, which all callers share."""
-    if n_elements is not None and not (isinstance(n_elements, (int, np.integer))
-                                       and n_elements >= 1):
-        raise DomainError("n_elements must be an integer >= 1")
+    if n_elements is not None:
+        _count("n_elements", n_elements, 1)
     if gamma_bar is not None and not 0 < gamma_bar < math.inf:
         raise DomainError("gamma_bar must be positive and finite")
     if gamma_th is not None and not gamma_th >= 0:
@@ -201,24 +201,18 @@ def check_link(n_elements=None, gamma_bar=None, gamma_th=None, psi=None) -> None
 def random_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """The reproducible, independent generator of (seed, stream_id): block k of
     seed s is PCG64(SeedSequence(s, spawn_key=(k,)))."""
-    for name, val in (("seed", seed), ("stream_id", stream_id)):
-        if not (isinstance(val, (int, np.integer)) and val >= 0):
-            raise DomainError(f"{name} must be an integer >= 0, got {val!r}")
+    _count("seed", seed)
+    _count("stream_id", stream_id)
     ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _is_count(n) -> bool:
-    """Whether n is an integer >= 0; numpy takes no bool for a dimension."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
-
-
-def _shape(size) -> tuple:
-    """size as a shape: a count or a tuple of counts."""
-    dims = size if isinstance(size, tuple) else (size,)
-    if not all(map(_is_count, dims)):
-        raise DomainError(f"size must be an integer >= 0 or a tuple of them, got {size!r}")
-    return dims
+def _count(name: str, value, low: int = 0):
+    """value if it is an integer >= low, not a bool; else DomainError. The one
+    rule of every integer input: N, seed, stream id, size, sample and worker count."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def sample_h_a(t: TurbulenceParams, rng: np.random.Generator, size) -> np.ndarray:
@@ -229,8 +223,8 @@ def sample_h_a(t: TurbulenceParams, rng: np.random.Generator, size) -> np.ndarra
     construction behind the Gamma-Gamma density. All alpha variates come
     first, then all beta variates.
     """
-    h = np.empty(_shape(size))
-    _turbulence_gain(t, rng, h.reshape(-1), np.empty(min(h.size, _WINDOW)))
+    h = np.empty(_count("size", size))
+    _turbulence_gain(t, rng, h, np.empty(min(h.size, _WINDOW)))
     return h
 
 
@@ -261,7 +255,7 @@ def sample_h_p(geo: PointingGeometry, rng: np.random.Generator, size) -> np.ndar
     is standard exponential and h_p = A0 exp(-E / c) has the CDF
     (h / A0)^c of the beam-profile model.
     """
-    return _pointing_gain(geo, rng.standard_exponential(_shape(size)))
+    return _pointing_gain(geo, rng.standard_exponential(_count("size", size)))
 
 
 def _pointing_gain(geo: PointingGeometry, e: np.ndarray) -> np.ndarray:
@@ -287,16 +281,14 @@ def sample_aggregate(
     The elements are drawn and summed _ELEMENT_CHUNK at a time, and each
     chunk of cols elements _TILE // cols rows at a time. Per tile, the one
     generator gives all its alpha variates, then its beta variates, then its
-    exponentials: the draws of sample_h_a and sample_h_p on the tile's shape.
+    exponentials: the draws of sample_h_a and sample_h_p of the tile's size.
     The alpha variates fill a _TILE buffer and the rest go through a
     _WINDOW buffer, so a block holds 640 KiB and Z for any N and size, and
     _ELEMENT_CHUNK and _TILE are both part of the seed -> sample mapping. Up
     to _ELEMENT_CHUNK elements and _TILE // N rows, the draws and the sum are
     those of a single tile.
     """
-    if not _is_count(size):
-        raise DomainError(f"size must be an integer >= 0, got {size!r}")
-    z = np.zeros(size)
+    z = np.zeros(_count("size", size))
     tile, w = np.empty(_TILE), np.empty(_WINDOW)
     for start in range(0, cfg.n_elements, _ELEMENT_CHUNK):
         cols = min(_ELEMENT_CHUNK, cfg.n_elements - start)

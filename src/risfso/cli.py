@@ -356,8 +356,9 @@ def _sweep(variants: Sequence[Tuple[str, Sequence[str]]],
             pointing = _pointing_from(values)
         except DomainError as exc:
             raise _section_error(sources, ("pointing.",), exc) from None
-        turb = TurbulenceParams(alpha=values["turbulence.alpha"], beta=values["turbulence.beta"])
         try:
+            turb = TurbulenceParams(alpha=values["turbulence.alpha"],
+                                    beta=values["turbulence.beta"])
             for n in values["link.n_elements"]:
                 analytic.moments(turb, pointing, n)
         except DomainError as exc:

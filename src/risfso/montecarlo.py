@@ -13,7 +13,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
@@ -26,8 +25,7 @@ from .errors import DomainError
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge",
-           "confidence_interval"]
+__all__ = ["BLOCK_SIZE", "McEstimate", "estimate", "estimate_grid", "merge"]
 
 BLOCK_SIZE = 4096
 MIN_SAMPLES = 1000
@@ -147,17 +145,6 @@ def merge(a: McEstimate, b: McEstimate) -> McEstimate:
     return McEstimate(a.metric_kind, a.fingerprint, seed, pooled)
 
 
-def confidence_interval(e: McEstimate, level: float) -> Tuple[float, float]:
-    """Normal-approximation confidence interval at the given level."""
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
-    if e.n_samples < 30:
-        raise DomainError("need at least 30 samples for a normal-approximation CI")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    half = z * e.stderr
-    return (e.mean - half, e.mean + half)
-
-
 def _block_plan(n_samples: int, first_stream: int) -> Sequence[Tuple[int, int]]:
     n_blocks = -(-n_samples // BLOCK_SIZE)
     plan = []
@@ -211,8 +198,8 @@ def estimate_grid(
         raise DomainError(f"expected a non-empty list of metric kinds, got {metric_kinds!r}")
     for kind in metric_kinds:
         analytic._check(kind, base_cfg.gamma_th, base_cfg.psi, 1, 0.0)
-    if n_samples < MIN_SAMPLES:
-        raise DomainError(f"n_samples must be >= {MIN_SAMPLES}")
+    channel._count("n_samples", n_samples, MIN_SAMPLES)
+    channel._count("workers", workers, 1)
     # Each replace() builds a LinkConfig, whose check_link rejects a bad gamma_bar.
     fingerprints = {gb: _fingerprint(t, g, replace(base_cfg, gamma_bar=gb)) for gb in gamma_bars}
     grid = list(fingerprints)

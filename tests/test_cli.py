@@ -621,13 +621,11 @@ FRESH_PROCESS = """
 import json, sys
 import risfso
 bare = sorted(m for m in sys.modules if m.startswith("risfso."))
-from risfso import analytic, channel, cli, montecarlo
+from risfso import analytic, channel, cli
 spec = cli.validate_config(sys.argv[1])
 table = cli.run_sweep(spec)
 cli.emit(table, "csv")
 cli.emit(table, "json")
-montecarlo.confidence_interval(montecarlo.McEstimate("moment", "", 0, {0: (64, 0.0, 4096.0)}),
-                               0.95)
 v = spec.variants[0]
 value, _ = analytic.oracle_metric("capacity", analytic.moments(v.turbulence, v.pointing, 4), 1.0)
 channel.pdf_b(0.01, v.turbulence, v.pointing)
@@ -659,9 +657,9 @@ def test_package_import_loads_no_module(fresh_process):
 
 
 def test_no_scipy_module_loads_in_a_sweep_the_oracle_or_pdf_b(fresh_process):
-    # The special functions of the closed forms, the asymptote, Monte Carlo,
-    # the confidence interval, the oracle (a Gauss-Kronrod rule) and pdf_b
-    # (the same rule over a Bessel K) are the package's own or the stdlib's.
+    # The special functions of the closed forms, the asymptote, Monte Carlo, the
+    # oracle (a Gauss-Kronrod rule) and pdf_b (the same rule over a Bessel K)
+    # are the package's own or the stdlib's.
     got, path = fresh_process
     assert got["scipy"] == []
     v = cli.validate_config(path).variants[0]

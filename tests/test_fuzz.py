@@ -6,9 +6,10 @@ and ``validate``) on configs that set random keys to values from a fixed list
 of extremes. Each run must exit 0 or 2, raise nothing and warn nothing; on
 exit 0 it prints a table and nothing on stderr, on exit 2 only ``error: ``
 lines. Part two calls the public constructors, derive_turbulence, each closed
-form, the oracle, pdf_b and random_stream with the same extremes, and the
-samplers with sizes that are and are not counts, and accepts a value (not nan)
-or a RisFsoError.
+form, the oracle, pdf_b and random_stream with the same extremes, the samplers
+with sizes that are and are not counts, and montecarlo.estimate with sample
+counts, worker counts and seeds that are and are not integers, and accepts a
+value (not nan) or a RisFsoError.
 
 Monte Carlo runs only at mc.samples = 1000, N <= 256 and at most 2 workers: a
 huge N or sample count goes only into MC-off or validate runs. The fuzz checks
@@ -25,7 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from risfso import analytic, channel, cli
+from risfso import analytic, channel, cli, montecarlo
 from risfso.errors import DomainError, RisFsoError
 
 SEEDS = (1, 2, 3)
@@ -203,7 +204,7 @@ def _library_calls(rng):
     stream_args = X_COUNTS + X_REALS + (None, "3", np.int64(5), np.uint8(1), 2**200)
     for _ in range(50):
         yield channel.random_stream, (rng.choice(stream_args), rng.choice(stream_args)), {}
-    # Sampler sizes: small counts and shapes, and what is neither.
+    # Sampler sizes: small counts, and what is none (shapes too).
     sizes = (0, 1, 7, -1, 1.5, None, "3", True, np.int64(5), (2, 3), (2, -1), [2, 3])
     cfg = channel.LinkConfig(n_elements=rng.choice((1, 16, 300)))
     for _ in range(10):
@@ -211,6 +212,15 @@ def _library_calls(rng):
         yield channel.sample_h_a, (base_t, channel.random_stream(1), size), {}
         yield channel.sample_h_p, (base_g, channel.random_stream(1), size), {}
         yield channel.sample_aggregate, (base_t, base_g, cfg, channel.random_stream(1), size), {}
+    # The Monte Carlo entry point, at N <= 16 and at most 1000 samples; the
+    # counts repeat, so that some calls run.
+    mc_cfg = channel.LinkConfig(n_elements=rng.choice((1, 16)), gamma_bar=10.0)
+    for _ in range(30):
+        yield montecarlo.estimate, (
+            rng.choice(analytic.METRIC_KINDS), base_t, base_g, mc_cfg), dict(
+            n_samples=rng.choice((1000,) * 3 + (999, 1500.0, "2000", True)),
+            seed=rng.choice((0,) * 3 + (-1, 1.5, True, None)),
+            workers=rng.choice((1, 2) * 2 + (0, 2.5, None, "2")))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -273,6 +283,51 @@ def test_derive_turbulence_out_of_float_range_is_a_domain_error(args):
 def test_turbulence_shapes_must_be_positive_and_finite(alpha, beta):
     with pytest.raises(DomainError, match="alpha and beta must be positive and finite"):
         channel.TurbulenceParams(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1e-320, 10.0), (5e-309, 10.0), (15.0, 5e-324)])
+def test_turbulence_shapes_must_have_finite_reciprocals(tmp_path, alpha, beta):
+    # The turbulence gain scales the draws by 1 / alpha and 1 / beta; where that
+    # overflows (below about 5.6e-309), 0 * inf would make sample_h_a draw nan.
+    with pytest.raises(DomainError) as exc:
+        channel.TurbulenceParams(alpha, beta)
+    assert str(exc.value) == ("alpha and beta must be positive and finite, and so must "
+                              "1 / alpha and 1 / beta")
+    smallest = channel.TurbulenceParams(6e-309, 10.0)
+    assert not np.isnan(channel.sample_h_a(smallest, channel.random_stream(1), 1000)).any()
+    # In a config, the shape gives one line naming its line and section.
+    path = tmp_path / "shape.cfg"
+    path.write_text(f"turbulence.alpha = {alpha!r}\n" if alpha < 1 else
+                    f"turbulence.beta = {beta!r}\n")
+    for argv in (["validate", "--config", str(path)], ["sweep", "--config", str(path)]):
+        code, out, err, caught = _run(argv)
+        assert (code, out, caught) == (2, "", [])
+        assert err == f"error: line 1: turbulence: {exc.value}\n"
+
+
+@pytest.mark.parametrize("call, name, low", [
+    (lambda t, g: channel.LinkConfig(n_elements=True), "n_elements", 1),
+    (lambda t, g: analytic.moments(t, g, True), "n_elements", 1),
+    (lambda t, g: channel.random_stream(True), "seed", 0),
+    (lambda t, g: channel.random_stream(1, True), "stream_id", 0),
+    (lambda t, g: channel.sample_h_a(t, channel.random_stream(1), True), "size", 0),
+    (lambda t, g: channel.sample_h_p(g, channel.random_stream(1), True), "size", 0),
+    (lambda t, g: channel.sample_aggregate(t, g, channel.LinkConfig(16), channel.random_stream(1),
+                                           True), "size", 0),
+    (lambda t, g: montecarlo.estimate("outage", t, g, channel.LinkConfig(16), True, 1),
+     "n_samples", montecarlo.MIN_SAMPLES),
+    (lambda t, g: montecarlo.estimate("outage", t, g, channel.LinkConfig(16), 1000, 1,
+                                      workers=True), "workers", 1),
+], ids=["LinkConfig", "moments", "seed", "stream_id", "sample_h_a", "sample_h_p",
+        "sample_aggregate", "n_samples", "workers"])
+def test_a_bool_is_no_count(call, name, low):
+    # bool is an int subclass, so each integer input refuses it by name, with
+    # the message of the one count rule.
+    t = channel.TurbulenceParams(15.0, 10.0)
+    g = channel.PointingGeometry.from_exponent(3.2233729130647513, 1.2, 0.1, 150.0)
+    with pytest.raises(DomainError) as exc:
+        call(t, g)
+    assert str(exc.value) == f"{name} must be an integer >= {low}, got True"
 
 
 def test_pdf_b_past_the_float_range_or_the_kernel_order_is_a_domain_error():

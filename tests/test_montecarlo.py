@@ -18,10 +18,6 @@ import pytest
 from risfso import analytic, channel, montecarlo
 from risfso.errors import DomainError
 
-# Inverse-normal quantile z(97.5%) frozen from a 30-digit evaluation of
-# sqrt(2) * erfinv(0.95).
-Z_95 = 1.95996398454005
-
 
 @pytest.fixture(scope="module")
 def turb():
@@ -122,37 +118,12 @@ class TestMerge:
             montecarlo.merge(a, b)
 
 
-class TestConfidenceInterval:
-    def test_level_95_quantile(self, turb, geo, cfg):
-        e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=5)
-        lo, hi = montecarlo.confidence_interval(e, 0.95)
-        assert hi - lo == pytest.approx(2 * Z_95 * e.stderr, rel=1e-12)
-        assert (lo + hi) / 2 == pytest.approx(e.mean, rel=1e-12)
-
-    # scipy.special.ndtri(0.5 (1 + level)), stored.
-    NDTRI = {0.5: 0.6744897501960817, 0.9: 1.6448536269514722, 0.95: 1.959963984540054,
-             0.99: 2.5758293035489004, 0.999: 3.2905267314919255,
-             0.999999999: 6.1094101916632875}
-
-    @pytest.mark.parametrize("level", sorted(NDTRI))
-    def test_quantile_matches_ndtri(self, level):
-        e = montecarlo.McEstimate("moment", "", 0, {0: (64, 0.0, 4096.0)})  # mean 0, stderr 1
-        lo, hi = montecarlo.confidence_interval(e, level)
-        assert hi == -lo == pytest.approx(self.NDTRI[level], rel=5e-16)
-
-    def test_widens_with_level(self, turb, geo, cfg):
-        e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 10_000, seed=5)
-        w90 = np.diff(montecarlo.confidence_interval(e, 0.90))
-        w99 = np.diff(montecarlo.confidence_interval(e, 0.99))
-        assert w99 > w90
-
-    def test_degenerate_values_give_zero_width(self, turb, geo):
+class TestMcEstimate:
+    def test_degenerate_values_give_zero_stderr(self, turb, geo):
         # At huge SNR every sample clears the threshold: stderr is 0.
         rich = channel.LinkConfig(n_elements=16, gamma_bar=1e12, gamma_th=1.0)
         e = montecarlo.estimate("outage", turb, geo, rich, 2_000, seed=5)
         assert e.mean == 0.0 and e.stderr == 0.0
-        lo, hi = montecarlo.confidence_interval(e, 0.95)
-        assert lo == hi == 0.0
 
     # (count, sum, sum of squares): the square of the mean overflows, or
     # the sum of squares already has.
@@ -162,13 +133,8 @@ class TestConfidenceInterval:
         with pytest.raises(DomainError):
             e.stderr
 
-    def test_validation(self, turb, geo, cfg):
-        e = montecarlo.estimate("ber_exactQ", turb, geo, cfg, 1_000, seed=5)
-        with pytest.raises(DomainError):
-            montecarlo.confidence_interval(e, 1.5)
-        empty = montecarlo.McEstimate("ber_exactQ", e.fingerprint, 0, {})
-        with pytest.raises(DomainError):
-            montecarlo.confidence_interval(empty, 0.95)
+    def test_empty_estimate_has_no_mean_or_stderr(self):
+        empty = montecarlo.McEstimate("ber_exactQ", "", 0, {})
         assert not empty.block_stats
         for stat in ("mean", "stderr"):
             with pytest.raises(DomainError, match="estimate is empty"):
@@ -215,6 +181,18 @@ class TestStatisticalConsistency:
         with pytest.raises(DomainError) as exc:
             montecarlo.estimate_grid("outage", turb, geo, cfg, [1.0], 2_000, seed=1)
         assert "'o'" not in str(exc.value)
+
+    # A sample or worker count is an integer at least MIN_SAMPLES or 1; a float,
+    # a string or None is no count, and fewer than one worker does not run serial.
+    @pytest.mark.parametrize("name, value, low", [
+        ("n_samples", 999, 1_000), ("n_samples", 1500.0, 1_000), ("n_samples", "2000", 1_000),
+        ("workers", 0, 1), ("workers", -3, 1), ("workers", 2.5, 1), ("workers", None, 1),
+        ("workers", "2", 1)])
+    def test_rejects_a_count_that_is_no_integer(self, turb, geo, cfg, name, value, low):
+        args = {"n_samples": 2_000, "workers": 1, name: value}
+        with pytest.raises(DomainError) as exc:
+            montecarlo.estimate("outage", turb, geo, cfg, seed=1, **args)
+        assert str(exc.value) == f"{name} must be an integer >= {low}, got {value!r}"
 
 
 class TestEstimateGrid:
