@@ -12,7 +12,9 @@ capacity closed forms are its direct consequences.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +40,8 @@ __all__ = [
     "oracle_metric",
 ]
 
-# Two-exponential fit of log2(1 + x), valid up to roughly x ~ 1e3.
+# Two-exponential fit of log2(1 + x), valid for x from about 1 to 1e3: it
+# gives 0.276 bits at x = 0.
 CAPACITY_ETA = (9.331, -2.635, -4.032, -2.388)
 CAPACITY_ZETA = (0.000, 0.037, 0.004, 0.274)
 CAPACITY_FIT_LIMIT = 1e3
@@ -111,38 +114,108 @@ def moments(t: TurbulenceParams, g: PointingGeometry, n_elements: int) -> Moment
     )
 
 
-def mgf(s: float, ms: MomentSummary, gamma_bar: float) -> float:
-    """E[exp(-s * gamma)] under the Gaussian aggregate-SNR density."""
-    _check("mgf", s=s, gamma_bar=gamma_bar)
+def _per_snr(cells):
+    """The closed form of ``cells``, whose last parameter, gamma_bar, is a list
+    of average SNRs, and which gives per SNR its value or DomainError.
+
+    A float average SNR gives the value or raises DomainError. A sequence of
+    them gives a list with, per average SNR, the float call's value, bit for
+    bit, or that cell's DomainError; it raises only for a bad parameter, which
+    both forms report before a bad average SNR. The float call is the one-cell
+    sequence call, so the work that does not depend on the average SNR runs
+    once a call in either form.
+    """
+
+    @functools.wraps(cells)
+    def closed_form(*args, **kwargs):
+        if "gamma_bar" in kwargs:
+            gamma_bar = kwargs.pop("gamma_bar")
+        else:
+            *args, gamma_bar = args
+        if not isinstance(gamma_bar, (float, int, np.number)):
+            return cells(*args, gamma_bar=gamma_bar, **kwargs)
+        (cell,) = cells(*args, gamma_bar=[gamma_bar], **kwargs)
+        if isinstance(cell, DomainError):
+            raise cell
+        return cell
+
+    return closed_form
+
+
+def _each(gammas, value) -> list:
+    """Per average SNR, value(gamma_bar) if check_link accepts it, or the
+    DomainError that either raises."""
+    out = []
+    for gamma_bar in gammas:
+        try:
+            check_link(gamma_bar=gamma_bar)
+            out.append(value(gamma_bar))
+        except DomainError as exc:
+            out.append(exc)
+    return out
+
+
+def _weighted_sum(weights, columns) -> list:
+    """Per average SNR, the sum of weight * cell over the columns, or the first
+    column's DomainError there."""
+    out = []
+    for cells in zip(*columns):
+        try:
+            out.append(sum(map(operator.mul, weights, cells)))
+        except TypeError:  # a weight times a DomainError cell
+            out.append(next(c for c in cells if isinstance(c, DomainError)))
+    return out
+
+
+@_per_snr
+def mgf(s: float, ms: MomentSummary, gamma_bar):
+    """E[exp(-s * gamma)] under the Gaussian aggregate-SNR density; a sequence
+    of gamma_bar gives the float call's bits per cell (see _per_snr)."""
+    _check("mgf", s=s)
     m, d = ms.m, ms.delta
-    u = s * gamma_bar * d / math.sqrt(2.0) - m / (math.sqrt(2.0) * d)
-    if u >= 0:
-        # erfc(u) e^{A} = erfcx(u) e^{A - u^2}, and A - u^2 = -m^2/(2 d^2)
-        val = 0.5 * numerics.erfcx(u) * math.exp(-m * m / (2.0 * d * d))
-    else:
-        # The exponent s^2 g^2 d^2 / 2 - s g m, scale-free: x < m / d here,
-        # so it is not positive even where (s g d)^2 alone overflows.
-        x = s * gamma_bar * d
-        val = 0.5 * math.erfc(u) * math.exp(x * (0.5 * x - m / d))
-    if not math.isfinite(val):
-        raise DomainError(f"MGF at s = {s:g}, gamma_bar = {gamma_bar:g} is past the float range")
-    return val
+    shift = m / (math.sqrt(2.0) * d)
+    tail = math.exp(-m * m / (2.0 * d * d))
+    m_over_d = m / d
+
+    def value(gb):
+        u = s * gb * d / math.sqrt(2.0) - shift
+        if u >= 0:
+            # erfc(u) e^{A} = erfcx(u) e^{A - u^2}, and A - u^2 = -m^2/(2 d^2)
+            val = 0.5 * numerics.erfcx(u) * tail
+        else:
+            # The exponent s^2 g^2 d^2 / 2 - s g m, scale-free: x < m / d here,
+            # so it is not positive even where (s g d)^2 alone overflows.
+            x = s * gb * d
+            val = 0.5 * math.erfc(u) * math.exp(x * (0.5 * x - m_over_d))
+        if not math.isfinite(val):
+            raise DomainError(f"MGF at s = {s:g}, gamma_bar = {gb:g} is past the float range")
+        return val
+
+    return _each(gamma_bar, value)
 
 
-def generalized_moment(n: int, ms: MomentSummary, gamma_bar: float) -> float:
+@_per_snr
+def generalized_moment(n: int, ms: MomentSummary, gamma_bar):
     """E[gamma^n] for integer n >= 0 via the parabolic-cylinder closed form,
-    with D_{-n-1}(-m/delta) scaled by e^(-m^2/(4 delta^2))."""
-    _check("moment", n=n, gamma_bar=gamma_bar)
+    with D_{-n-1}(-m/delta) scaled by e^(-m^2/(4 delta^2)), which does not
+    depend on gamma_bar; a sequence of gamma_bar gives the float call's bits
+    per cell (see _per_snr)."""
+    _check("moment", n=n)
     m, d = ms.m, ms.delta
     dv = numerics.parabolic_cylinder_d(-n - 1.0, -m / d)
-    try:
-        val = (gamma_bar * d) ** n / math.sqrt(2.0 * math.pi) * math.gamma(n + 1) * dv
-    except OverflowError:
-        val = math.inf
-    if not math.isfinite(val):
-        raise DomainError(f"moment of order {n} at gamma_bar = {gamma_bar:g} "
-                          "is past the float range")
-    return val
+    root_2pi, factorial = math.sqrt(2.0 * math.pi), math.gamma(n + 1)
+
+    def value(gb):
+        try:
+            val = (gb * d) ** n / root_2pi * factorial * dv
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise DomainError(f"moment of order {n} at gamma_bar = {gb:g} "
+                              "is past the float range")
+        return val
+
+    return _each(gamma_bar, value)
 
 
 def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
@@ -161,26 +234,34 @@ def amount_of_fading(n: int, ms: MomentSummary, gamma_bar: float) -> float:
     return af
 
 
-def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar: float) -> float:
-    """P(gamma <= gamma_th) under the Gaussian aggregate-SNR density."""
-    _check("outage", gamma_th, gamma_bar=gamma_bar)
+@_per_snr
+def outage_probability(gamma_th: float, ms: MomentSummary, gamma_bar):
+    """P(gamma <= gamma_th) under the Gaussian aggregate-SNR density; a sequence
+    of gamma_bar gives the float call's bits per cell (see _per_snr)."""
+    _check("outage", gamma_th)
     if gamma_th == 0.0:
-        return 0.0
+        return _each(gamma_bar, lambda gb: 0.0)
     m, d = ms.m, ms.delta
-    if gamma_bar * d == 0.0 or gamma_th == math.inf:
-        # gamma_th / (gamma_bar d) is past every float: the limit Phi(m / d).
-        return _phi(m / d)
-    a, h = -m / d, gamma_th / (gamma_bar * d)
-    if h * max(1.0, -a) <= 1.0:
-        # Phi(a + h) and Phi(a) share their leading digits here, so their
-        # difference would cancel; integrate the density over [a, a + h] by
-        # the Kronrod rule of the oracles, exact to degree 31.
-        x = a + 0.5 * h * (1.0 + numerics._QK21_X)
-        return (0.5 * h * float(np.dot(numerics._QK21_WK, np.exp(-0.5 * x * x)))
-                / math.sqrt(2.0 * math.pi))
-    # A difference of normal CDFs keeps relative accuracy when both
-    # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
-    return _phi((gamma_th - m * gamma_bar) / (gamma_bar * d)) - _phi(a)
+    a = -m / d
+    # The limit Phi(m / d) where gamma_th / (gamma_bar d) is past every float.
+    limit, phi_a = _phi(m / d), _phi(a)
+
+    def value(gb):
+        if gb * d == 0.0 or gamma_th == math.inf:
+            return limit
+        h = gamma_th / (gb * d)
+        if h * max(1.0, -a) <= 1.0:
+            # Phi(a + h) and Phi(a) share their leading digits here, so their
+            # difference would cancel; integrate the density over [a, a + h] by
+            # the Kronrod rule of the oracles, exact to degree 31.
+            x = a + 0.5 * h * (1.0 + numerics._QK21_X)
+            return (0.5 * h * float(np.dot(numerics._QK21_WK, np.exp(-0.5 * x * x)))
+                    / math.sqrt(2.0 * math.pi))
+        # A difference of normal CDFs keeps relative accuracy when both
+        # arguments lie deep in the lower tail, where 1 + erf(x) cancels.
+        return _phi((gamma_th - m * gb) / (gb * d)) - phi_a
+
+    return _each(gamma_bar, value)
 
 
 @dataclass(frozen=True)
@@ -232,17 +313,19 @@ def asymptotic_profile(
     return AsymptoticProfile(varrho=b[i_star], log_epsilon=log_eps, n_elements=n_elements)
 
 
+@_per_snr
 def asymptotic_outage(
     gamma_th: float,
     profile: AsymptoticProfile,
     t: TurbulenceParams,
     g: PointingGeometry,
-    gamma_bar: float,
-) -> float:
-    """High-SNR power-law outage; exact log-slope -(1 + varrho) N / 20 per dB."""
-    _check("outage", gamma_th, gamma_bar=gamma_bar)
+    gamma_bar,
+):
+    """High-SNR power-law outage; exact log-slope -(1 + varrho) N / 20 per dB.
+    A sequence of gamma_bar gives the float call's bits per cell (see _per_snr)."""
+    _check("outage", gamma_th)
     if gamma_th == 0.0:
-        return 0.0
+        return _each(gamma_bar, lambda gb: 0.0)
     rho = profile.varrho
     n = profile.n_elements
     d = profile.diversity_order
@@ -255,29 +338,36 @@ def asymptotic_outage(
         - math.lgamma(t.alpha)
         - math.lgamma(t.beta)
     )
-    log_p = (
-        n * (log_k - 0.5 * (1.0 + rho) * math.log(gamma_bar))
-        + d * math.log(gamma_th)
-        - math.lgamma(d)
-        - math.log(d)
-    )
-    return math.exp(min(log_p, 0.0))
+    half_order = 0.5 * (1.0 + rho)
+    d_log_th, lgamma_d, log_d = d * math.log(gamma_th), math.lgamma(d), math.log(d)
+
+    def value(gb):
+        log_p = n * (log_k - half_order * math.log(gb)) + d_log_th - lgamma_d - log_d
+        return math.exp(min(log_p, 0.0))
+
+    return _each(gamma_bar, value)
 
 
-def average_ber(psi: float, ms: MomentSummary, gamma_bar: float) -> float:
+@_per_snr
+def average_ber(psi: float, ms: MomentSummary, gamma_bar):
     """Average BER using the two-exponential Q-function approximation.
 
     For psi = 1 (BPSK) this is exactly (1/12) M(1) + (1/4) M(4/3); other
-    modulation coefficients rescale the two exponential rates.
+    modulation coefficients rescale the two exponential rates. A sequence of
+    gamma_bar gives the float call's bits per cell (see _per_snr), from one
+    mgf call per rate.
     """
     _check("ber_chiani", psi=psi)
-    return sum(w * mgf(r * psi, ms, gamma_bar) for w, r in zip(CHIANI_WEIGHTS, CHIANI_RATES))
+    return _weighted_sum(CHIANI_WEIGHTS, [mgf(r * psi, ms, gamma_bar) for r in CHIANI_RATES])
 
 
-def channel_capacity(ms: MomentSummary, gamma_bar: float) -> float:
+@_per_snr
+def channel_capacity(ms: MomentSummary, gamma_bar):
     """Ergodic capacity (bits/channel use) from the exponential log fit, which
-    holds up to a mean SNR m * gamma_bar of CAPACITY_FIT_LIMIT."""
-    return sum(e * mgf(z, ms, gamma_bar) for e, z in zip(CAPACITY_ETA, CAPACITY_ZETA))
+    holds for a mean SNR m * gamma_bar from about 1 to CAPACITY_FIT_LIMIT. A
+    sequence of gamma_bar gives the float call's bits per cell (see _per_snr),
+    from one mgf call per fit term."""
+    return _weighted_sum(CAPACITY_ETA, [mgf(z, ms, gamma_bar) for z in CAPACITY_ZETA])
 
 
 # Each kind's per-realization value g(x) on a numpy array of SNRs: the

@@ -54,7 +54,11 @@ class TurbulenceParams:
     beta: float
 
     def __post_init__(self):
-        if not all(0 < x < math.inf and 1.0 / x < math.inf for x in (self.alpha, self.beta)):
+        try:
+            ok = all(0 < x < math.inf and 1.0 / x < math.inf for x in (self.alpha, self.beta))
+        except OverflowError:  # an int past the float range
+            ok = False
+        if not ok:
             raise DomainError("alpha and beta must be positive and finite, and so must "
                               "1 / alpha and 1 / beta")
 

@@ -55,14 +55,26 @@ CSV_COLUMNS = (
 GRID_MAX_POINTS = 10_000
 
 
-# Sweep metric -> (closed form of (moments, gamma_bar, spec), the
-# analytic.METRIC_KINDS kind of its Monte Carlo estimate and oracle, or None).
+def _fading(ms: analytic.MomentSummary, gammas: Sequence[float], spec: SweepSpec) -> list:
+    """The amount of fading of order 2 at each SNR: it takes its moments at
+    gamma_bar = 1, so one value (or DomainError) holds on the whole grid."""
+    try:
+        cell = analytic.amount_of_fading(2, ms, 1.0)
+    except DomainError as exc:
+        cell = exc
+    return [cell] * len(gammas)
+
+
+# Sweep metric -> (closed form of (moments, average SNRs, spec), giving per
+# SNR its value or DomainError; the analytic.METRIC_KINDS kind of its Monte
+# Carlo estimate and oracle, or None).
 METRICS = {
-    "outage": (lambda ms, gb, spec: analytic.outage_probability(spec.gamma_th, ms, gb), "outage"),
-    "ber": (lambda ms, gb, spec: analytic.average_ber(spec.psi, ms, gb), "ber_exactQ"),
-    "capacity": (lambda ms, gb, spec: analytic.channel_capacity(ms, gb), "capacity"),
-    "af": (lambda ms, gb, spec: analytic.amount_of_fading(2, ms, gb), None),
-    "moments": (lambda ms, gb, spec: analytic.generalized_moment(1, ms, gb), "moment"),
+    "outage": (lambda ms, gbs, spec: analytic.outage_probability(spec.gamma_th, ms, gbs),
+               "outage"),
+    "ber": (lambda ms, gbs, spec: analytic.average_ber(spec.psi, ms, gbs), "ber_exactQ"),
+    "capacity": (lambda ms, gbs, spec: analytic.channel_capacity(ms, gbs), "capacity"),
+    "af": (_fading, None),
+    "moments": (lambda ms, gbs, spec: analytic.generalized_moment(1, ms, gbs), "moment"),
 }
 
 
@@ -436,18 +448,25 @@ def _pointing_from(values: dict) -> PointingGeometry:
     )
 
 
-def _closed_form(metric: str, ms: analytic.MomentSummary, gamma_bar: float,
-                 spec: SweepSpec) -> Tuple[Optional[float], Optional[str]]:
-    """(value, None) of the metric's closed form, or (None, why it failed)."""
+def _split(cells: Sequence, prefix: str = "") -> Tuple[list, list]:
+    """(values, errors) of a column of cells: a DomainError cell gives the value
+    None and its message after prefix, any other cell itself and no error."""
+    return ([None if isinstance(c, DomainError) else c for c in cells],
+            [f"{prefix}{c}" if isinstance(c, DomainError) else None for c in cells])
+
+
+def _mc_cell(est: montecarlo.McEstimate) -> Tuple[
+        Optional[float], Optional[float], int, Optional[str]]:
+    """(mean, stderr, n_samples, error) of an estimate."""
     try:
-        return METRICS[metric][0](ms, gamma_bar, spec), None
+        return est.mean, est.stderr, est.n_samples, None
     except RisFsoError as exc:
-        return None, str(exc)
+        return None, None, est.n_samples, f"mc: {exc}"
 
 
 def run_sweep(spec: SweepSpec) -> Table:
-    """Evaluate every (gamma_bar, N, metric) cell of the sweep."""
-    rows: List[Row] = []
+    """Evaluate every (gamma_bar, N, metric) cell of the sweep: per channel and
+    N, each metric's columns over the SNR grid, then one Row per cell."""
     gammas = [LinkConfig.db_to_linear(db) for db in spec.gamma_bar_db]
     mc_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_mc and METRICS[m][1]]
     oracle_kinds = [METRICS[m][1] for m in spec.metrics if spec.include_oracle and METRICS[m][1]]
@@ -458,64 +477,61 @@ def run_sweep(spec: SweepSpec) -> Table:
     oracles = {kind: analytic.oracle_metric(kind, [ms for _, _, ms in channels], gammas,
                                             gamma_th=spec.gamma_th, psi=spec.psi)
                for kind in oracle_kinds}
+    none = [None] * len(gammas)
+    seed = spec.seed if spec.include_mc else None
 
+    rows: List[Row] = []
     for k, (variant, n, ms) in enumerate(channels):
         t, g = variant.turbulence, variant.pointing
         missing_mass = ms.clt_missing_mass
-        base_cfg = LinkConfig(n_elements=n, gamma_bar=1.0,
-                              gamma_th=spec.gamma_th, psi=spec.psi)
-        profile = profile_error = None
-        if spec.include_asymptotic and "outage" in spec.metrics:
-            try:
-                profile = analytic.asymptotic_profile(t, g, n)
-            except DomainError as exc:
-                profile_error = str(exc)
-        # The amount of fading takes its moments at gamma_bar = 1, so one value
-        # holds at every grid SNR (each is positive and finite).
-        af = _closed_form("af", ms, 1.0, spec) if "af" in spec.metrics else None
-
-        estimates = {}
+        mc = {}
         if mc_kinds:
+            base_cfg = LinkConfig(n_elements=n, gamma_bar=1.0,
+                                  gamma_th=spec.gamma_th, psi=spec.psi)
             estimates = montecarlo.estimate_grid(
                 mc_kinds, t, g, base_cfg, gammas, spec.mc_samples, spec.seed, spec.workers
             )
-
-        for j, (db, gb) in enumerate(zip(spec.gamma_bar_db, gammas)):
-            for metric in spec.metrics:
-                kind = METRICS[metric][1]
-                row = Row(
-                    gamma_bar_db=db,
-                    n_elements=n,
-                    metric=f"{metric}@{variant.label}" if variant.label else metric,
-                    seed=spec.seed if spec.include_mc else None,
-                    clt_missing_mass=missing_mass,
-                )
-                row.analytic, row.error = (af if metric == "af"
-                                           else _closed_form(metric, ms, gb, spec))
-                if metric == "capacity":
-                    row.capacity_fit_window_exceeded = ms.m * gb > analytic.CAPACITY_FIT_LIMIT
-                if metric == "outage" and spec.include_asymptotic:
-                    if profile is not None:
-                        row.asymptotic = analytic.asymptotic_outage(
-                            spec.gamma_th, profile, t, g, gb
-                        )
-                    else:
-                        row.error = profile_error
-                # The asymptote is the one closed form capped at its range.
-                row.clamp_events = int(row.asymptotic == 1.0)
-                cell = oracles[kind][k][j] if kind in oracles else None
-                if isinstance(cell, DomainError):
-                    row.error = row.error or f"oracle: {cell}"
-                elif cell is not None:
-                    row.oracle = cell[0]
-                est = estimates.get(kind, {}).get(gb)
-                if est is not None:
-                    row.n_samples = est.n_samples
-                    try:
-                        row.mc_mean, row.mc_stderr = est.mean, est.stderr
-                    except RisFsoError as exc:
-                        row.error = row.error or f"mc: {exc}"
-                rows.append(row)
+            # Per kind, its mean, stderr, sample count and error columns.
+            mc = {kind: list(zip(*[_mc_cell(by_snr[gb]) for gb in gammas])) or [none] * 4
+                  for kind, by_snr in estimates.items()}
+        by_metric = []
+        for metric in spec.metrics:
+            kind = METRICS[metric][1]
+            values, errors = _split(METRICS[metric][0](ms, gammas, spec))
+            asymptotes = none
+            if metric == "outage" and spec.include_asymptotic:
+                try:
+                    profile = analytic.asymptotic_profile(t, g, n)
+                    cells = analytic.asymptotic_outage(spec.gamma_th, profile, t, g, gammas)
+                except DomainError as exc:
+                    cells = [exc] * len(gammas)
+                asymptotes, asymptote_errors = _split(cells)
+                # The asymptote's failure replaces the closed form's.
+                errors = [a or e for a, e in zip(asymptote_errors, errors)]
+            oracle = none
+            if kind in oracles:
+                cells, oracle_errors = _split(oracles[kind][k], "oracle: ")
+                oracle = [None if c is None else c[0] for c in cells]
+                errors = [e or o for e, o in zip(errors, oracle_errors)]
+            mean = stderr = n_samples = none
+            if kind in mc:
+                mean, stderr, n_samples, mc_errors = mc[kind]
+                errors = [e or m for e, m in zip(errors, mc_errors)]
+            fit_exceeded = none
+            if metric == "capacity":
+                fit_exceeded = [ms.m * gb > analytic.CAPACITY_FIT_LIMIT for gb in gammas]
+            name = f"{metric}@{variant.label}" if variant.label else metric
+            # Each Row's fields in their order, since a keyword call takes about
+            # three times as long. The asymptote is the one closed form capped at
+            # its range, which clamp_events counts.
+            by_metric.append([
+                Row(db, n, name, value, asymptote, mu, se, o, count, seed,
+                    int(asymptote == 1.0), missing_mass, exceeded, error)
+                for db, value, asymptote, mu, se, o, count, exceeded, error in zip(
+                    spec.gamma_bar_db, values, asymptotes, mean, stderr, oracle, n_samples,
+                    fit_exceeded, errors)])
+        # Rows run over the SNR grid, and over the metrics at each SNR.
+        rows.extend(row for at_snr in zip(*by_metric) for row in at_snr)
     return Table(rows=rows, config=spec.resolved())
 
 

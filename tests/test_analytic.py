@@ -459,6 +459,105 @@ class TestChannelCapacity:
         assert got == pytest.approx(oracle, rel=0.05)
 
 
+def _assert_cells_are_float_calls(form, args, gammas):
+    """The sequence call's cells against the float calls: each value bit for bit,
+    each failed cell a DomainError with the float call's message."""
+    cells = form(*args, gammas)
+    assert len(cells) == len(gammas)
+    for gb, cell in zip(gammas, cells):
+        where = (form.__name__, args, gb)
+        try:
+            want = form(*args, gb)
+        except DomainError as exc:
+            assert isinstance(cell, DomainError) and str(cell) == str(exc), where
+        else:
+            assert type(cell) is float and cell.hex() == want.hex(), where
+    return cells
+
+
+class TestSequenceForm:
+    """Each closed form of the average SNR takes a sequence of them, and gives per
+    cell the float call's value bit for bit, or the float call's message."""
+
+    # From far below 0 dB to past the float range of the moments, then SNRs
+    # that check_link refuses.
+    GAMMAS = [1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.16, 10.0, 100.0, 1e3, 1e4,
+              1e6, 1e9, 1e12, 1e30, 1e100, 1e300, 0.0, -1.0, math.nan, math.inf]
+
+    @pytest.fixture(params=["default", "fig4"], scope="class")
+    def channel_spec(self, request):
+        spec = (cli._sweep([("", [])]) if request.param == "default"
+                else cli.figure_preset("fig4"))
+        return spec.variants[0].turbulence, spec.variants[0].pointing
+
+    @pytest.fixture(params=[1, 4, 128], scope="class")
+    def link(self, request, channel_spec):
+        t, g = channel_spec
+        n = request.param
+        return t, g, analytic.moments(t, g, n), analytic.asymptotic_profile(t, g, n)
+
+    def test_mgf_in_both_branches(self, link):
+        _, _, ms, _ = link
+        good = [gb for gb in self.GAMMAS if 0 < gb < math.inf]
+        for s in (0.0, 0.037, 1.0, 4.0 / 3.0, 1e3):
+            _assert_cells_are_float_calls(analytic.mgf, (s, ms), self.GAMMAS)
+        # u = s gamma_bar d / sqrt 2 - m / (sqrt 2 d) at s = 1 takes both signs.
+        u = [gb * ms.delta / math.sqrt(2.0) - ms.m / (math.sqrt(2.0) * ms.delta) for gb in good]
+        assert min(u) < 0.0 <= max(u)
+
+    def test_moments_and_a_cell_past_the_float_range(self, link):
+        _, _, ms, _ = link
+        for n in (0, 1, 2, 5, 11):
+            _assert_cells_are_float_calls(analytic.generalized_moment, (n, ms), self.GAMMAS)
+        ok, past = _assert_cells_are_float_calls(analytic.generalized_moment, (5, ms),
+                                                 [1.0, 1e100])
+        assert type(ok) is float and isinstance(past, DomainError)
+        assert "past the float range" in str(past)
+
+    def test_outage_in_every_branch(self, link):
+        _, _, ms, _ = link
+        for gamma_th in (0.0, 1e-3, 1.0, 1e3, math.inf):
+            _assert_cells_are_float_calls(analytic.outage_probability, (gamma_th, ms),
+                                          self.GAMMAS)
+        # The Kronrod branch, h max(1, -a) <= 1, and the difference of CDFs.
+        a = -ms.m / ms.delta
+        h = [1.0 / (gb * ms.delta) for gb in self.GAMMAS if 0 < gb < math.inf]
+        assert min(h) * max(1.0, -a) <= 1.0 < max(h) * max(1.0, -a)
+
+    def test_asymptote(self, link):
+        t, g, _, profile = link
+        for gamma_th in (0.0, 1.0, math.inf):
+            _assert_cells_are_float_calls(analytic.asymptotic_outage,
+                                          (gamma_th, profile, t, g), self.GAMMAS)
+
+    def test_ber_and_capacity(self, link):
+        _, _, ms, _ = link
+        for psi in (0.5, 1.0):
+            _assert_cells_are_float_calls(analytic.average_ber, (psi, ms), self.GAMMAS)
+        _assert_cells_are_float_calls(analytic.channel_capacity, (ms,), self.GAMMAS)
+
+    def test_keyword_arguments(self, ms, turb, geo):
+        profile = analytic.asymptotic_profile(turb, geo, ms.n_elements)
+        assert analytic.mgf(s=1.0, ms=ms, gamma_bar=2.0) == analytic.mgf(1.0, ms, 2.0)
+        assert (analytic.outage_probability(1.0, ms=ms, gamma_bar=[2.0, 3.0])
+                == analytic.outage_probability(1.0, ms, [2.0, 3.0]))
+        assert (analytic.asymptotic_outage(1.0, profile, turb, geo, gamma_bar=1e4)
+                == analytic.asymptotic_outage(1.0, profile, turb, geo, 1e4))
+
+    def test_a_bad_parameter_raises(self, ms, turb, geo):
+        profile = analytic.asymptotic_profile(turb, geo, ms.n_elements)
+        for call, message in (
+            (lambda: analytic.mgf(-1.0, ms, [1.0]), "mgf requires s >= 0"),
+            (lambda: analytic.generalized_moment(-1, ms, [1.0]), "moment order must be >= 0"),
+            (lambda: analytic.outage_probability(-1.0, ms, [1.0]), "gamma_th must be"),
+            (lambda: analytic.asymptotic_outage(math.nan, profile, turb, geo, [1.0]),
+             "gamma_th must be"),
+            (lambda: analytic.average_ber(0.0, ms, [1.0]), "psi must be positive"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+
 class TestOracleMetric:
     def test_rejects_unknown_kind(self, ms):
         with pytest.raises(DomainError):

@@ -284,6 +284,30 @@ class TestRunSweepAndEmit:
                 want, _ = oracle(row.metric, ms, 1.0, gamma_th=spec.gamma_th)
                 assert row.error is None and row.oracle == want
 
+    def test_closed_form_work_does_not_grow_with_the_snr_grid(self, tmp_path, monkeypatch):
+        # Each closed form takes the whole SNR grid in one call, so the calls of
+        # its kernels count channels, not cells: 5 and 10 SNRs make as many.
+        def counts(grid):
+            calls = {}
+            for module, name in ((numerics, "parabolic_cylinder_d"), (analytic, "mgf"),
+                                 (analytic, "asymptotic_outage")):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+            path = write_config(tmp_path, (
+                f"link.gamma_bar_db = {grid}\nlink.n_elements = 4,128\n"
+                "sweep.metrics = outage,ber,capacity,af,moments\n"
+                "sweep.include_asymptotic = true\nsweep.include_mc = false\n"))
+            rows = cli.run_sweep(cli.validate_config(path)).rows
+            monkeypatch.undo()
+            return calls, len(rows)
+
+        (five, rows5), (ten, rows10) = counts("0:40:10"), counts("0:45:5")
+        assert (rows5, rows10) == (5 * 2 * 5, 10 * 2 * 5)
+        assert five == ten
+        assert set(five) == {"parabolic_cylinder_d", "mgf", "asymptotic_outage"}
+
     def test_multi_variant_rows_read_their_own_cells(self, monkeypatch):
         # fig3's three channels share one oracle call per kind; each row's
         # oracle is its own channel's standalone call, and each af row the

@@ -285,6 +285,16 @@ def test_turbulence_shapes_must_be_positive_and_finite(alpha, beta):
         channel.TurbulenceParams(alpha, beta)
 
 
+@pytest.mark.parametrize("alpha,beta", [(10**400, 10.0), (15.0, -10**400), (6.5, 10**309)])
+def test_int_shape_past_the_float_range_is_a_domain_error(alpha, beta):
+    # 0 < x < inf holds for any positive int, and 1 / x cannot convert one past
+    # the float range: the one-line DomainError, not a bare OverflowError.
+    with pytest.raises(DomainError) as exc:
+        channel.TurbulenceParams(alpha, beta)
+    assert str(exc.value) == ("alpha and beta must be positive and finite, and so must "
+                              "1 / alpha and 1 / beta")
+
+
 @pytest.mark.parametrize("alpha,beta", [(1e-320, 10.0), (5e-309, 10.0), (15.0, 5e-324)])
 def test_turbulence_shapes_must_have_finite_reciprocals(tmp_path, alpha, beta):
     # The turbulence gain scales the draws by 1 / alpha and 1 / beta; where that
